@@ -104,7 +104,6 @@ func TestAdversarialSubstrate(t *testing.T) {
 // rebuilt from the same degenerate geometry.
 func TestAdversarialVerifiedSolve(t *testing.T) {
 	eng := service.NewEngine(service.Options{})
-	defer eng.Close()
 	for name, pts := range adversarialFamilies() {
 		t.Run(name, func(t *testing.T) {
 			sol, _, err := eng.Solve(context.Background(),

@@ -167,9 +167,6 @@ func BenchmarkSolveScaling(b *testing.B) {
 				if len(sol.VerifyErrors) > 0 {
 					b.Fatalf("verification failed: %v", sol.VerifyErrors)
 				}
-				b.StopTimer()
-				eng.Close()
-				b.StartTimer()
 			}
 		})
 	}
@@ -371,7 +368,7 @@ func BenchmarkEngineStoreHit(b *testing.B) {
 }
 
 // BenchmarkEngineSolveMiss measures the full engine path on a cache
-// miss: digest, plan, orient through OrientBatch, verify, cache fill.
+// miss: digest, plan, orient, verify, cache fill.
 func BenchmarkEngineSolveMiss(b *testing.B) {
 	pts := benchPoints(2000)
 	b.ResetTimer()
@@ -446,7 +443,6 @@ func BenchmarkInstanceChurn(b *testing.B) {
 				opts.InstanceWAL = &instance.WALConfig{Dir: b.TempDir(), Policy: mode.wal}
 			}
 			eng := service.NewEngine(opts)
-			defer eng.Close()
 			m := service.NewInstanceManager(eng)
 			defer m.Close()
 			pts := benchPoints(n)
@@ -488,7 +484,6 @@ func BenchmarkInstanceRecovery(b *testing.B) {
 	const n, revs = 2000, 64
 	dir := b.TempDir()
 	eng := service.NewEngine(service.Options{})
-	defer eng.Close()
 	cfg := func() instance.Config {
 		return instance.Config{
 			Solve: eng.InstanceSolver(),

@@ -1,27 +1,27 @@
 // Command antennad is the long-running orientation service: the same
 // plan→solution engine the CLI tools use, behind an HTTP/JSON API.
-// Concurrent /orient requests are coalesced through the core.OrientBatch
-// worker pool, identical in-flight requests share one solve
-// (single-flight), and artifacts are served from two content-addressed
-// tiers — a byte-charged in-memory LRU and an optional durable disk
-// store (-store) that survives restarts — so repeated requests return
-// byte-identical solutions without re-orienting, even across a redeploy.
-// The server sheds load above -max-inflight with 429 + Retry-After and
-// bounds each request by -deadline (503 when exceeded); see
+// Every cache miss orients on its own goroutine, identical in-flight
+// requests share one solve (single-flight), and artifacts are served
+// from two content-addressed tiers — a byte-charged in-memory LRU and
+// an optional durable disk store (-store) that survives restarts — so
+// repeated requests return byte-identical solutions without
+// re-orienting, even across a redeploy. The server sheds load above
+// -max-inflight with 429 + Retry-After (the bound on concurrent /orient
+// solves) and bounds each request by -deadline (503 when exceeded); see
 // docs/OPERATIONS.md for the full operational story.
 //
 // The server also hosts the live-instance tier (internal/instance):
 // named long-lived networks mutated through Add/Remove/Move batches,
 // each batch producing a verified revision — by localized incremental
-// repair when the budget's construction is EMST-local and the dirty
-// region is small, by a full engine solve otherwise — with per-revision
-// ADLT deltas and optimistic concurrency via If-Match.
+// repair when the budget's construction has a repair class (emst, tour
+// or bats) and the dirty region is small, by a full engine solve
+// otherwise — with per-revision ADLT deltas and optimistic concurrency
+// via If-Match.
 //
 // Usage:
 //
 //	antennad [-addr :8080] [-cache 512] [-cache-max-bytes 134217728]
 //	         [-store DIR] [-store-max-bytes 268435456]
-//	         [-workers 0] [-batch-window 2ms] [-max-batch 64]
 //	         [-deadline 0] [-max-inflight 0] [-race 0]
 //	         [-repair-threshold 0.25] [-instance-history 32]
 //	         [-verify-audit-every 64]
@@ -102,9 +102,6 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "in-memory cache byte budget; 0 = default (128 MiB)")
 	storeDir := flag.String("store", "", "directory for the durable artifact store; empty disables the disk tier")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk store byte cap; 0 = default (256 MiB)")
-	workers := flag.Int("workers", 0, "OrientBatch pool size; 0 = GOMAXPROCS")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a lone request waits for batch companions; 0 disables coalescing")
-	maxBatch := flag.Int("max-batch", 64, "max requests per coalesced batch")
 	deadline := flag.Duration("deadline", 0, "per-request solve deadline (503 when exceeded); 0 disables")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent /orient requests before shedding 429; 0 = unbounded")
 	race := flag.Duration("race", 0, "default racing deadline for planner-selected requests; 0 disables racing")
@@ -156,9 +153,6 @@ func main() {
 		CacheSize:        *cache,
 		CacheMaxBytes:    *cacheMaxBytes,
 		Store:            store,
-		Workers:          *workers,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
 		Deadline:         *deadline,
 		MaxInflight:      *maxInflight,
 		DefaultRace:      *race,
@@ -167,7 +161,6 @@ func main() {
 		VerifyAuditEvery: *verifyAuditEvery,
 		InstanceWAL:      walCfg,
 	})
-	defer eng.Close()
 	api := service.NewServer(eng)
 	api.SetLogger(logger)
 	if walCfg != nil {

@@ -396,9 +396,6 @@ func main() {
 					if len(sol.VerifyErrors) > 0 {
 						b.Fatalf("verification failed: %v", sol.VerifyErrors)
 					}
-					b.StopTimer()
-					eng.Close()
-					b.StartTimer()
 				}
 			},
 		})
@@ -500,7 +497,6 @@ func main() {
 					opts.InstanceWAL = &instance.WALConfig{Dir: dir, Policy: mode.wal}
 				}
 				eng := service.NewEngine(opts)
-				defer eng.Close()
 				m := service.NewInstanceManager(eng)
 				defer func() {
 					m.Close()
@@ -564,7 +560,6 @@ func main() {
 					fmt.Sprintf("BenchmarkRepairScaling/%s/%s/n=%d", row.class, mode.name, n),
 					func(b *testing.B) {
 						eng := service.NewEngine(service.Options{RepairThreshold: mode.threshold})
-						defer eng.Close()
 						m := service.NewInstanceManager(eng)
 						defer m.Close()
 						pts := benchPoints(n)
@@ -616,7 +611,6 @@ func main() {
 			}
 			defer os.RemoveAll(dir)
 			eng := service.NewEngine(service.Options{})
-			defer eng.Close()
 			cfg := func() instance.Config {
 				return instance.Config{
 					Solve: eng.InstanceSolver(),

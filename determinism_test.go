@@ -20,7 +20,6 @@ import (
 func solveOnce(t *testing.T, pts []geom.Point) *solution.Solution {
 	t.Helper()
 	eng := service.NewEngine(service.Options{})
-	defer eng.Close()
 	sol, _, err := eng.Solve(context.Background(),
 		service.Request{Pts: pts, K: 2, Phi: core.Phi2Full, Algo: "cover"})
 	if err != nil {

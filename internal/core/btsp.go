@@ -103,9 +103,9 @@ const twoOptCheckpointMask = 63
 // inside the repair loop: the context is polled every few accepted moves,
 // and an expired deadline abandons the optimization with ctx.Err()
 // instead of burning the remaining moves to completion. This is how an
-// abandoned tour solve stops consuming its pool slot once the requester
-// is gone (the engine propagates HTTP deadlines here through
-// OrientBatchCtx and the ContextOrienter hook).
+// abandoned tour solve stops consuming its core once the requester is
+// gone (the engine propagates HTTP deadlines here through
+// Orienter.OrientCtx).
 func TwoOptBottleneckCtx(ctx context.Context, pts []geom.Point, tour []int, maxIters int) ([]int, error) {
 	n := len(tour)
 	out := append([]int(nil), tour...)

@@ -99,11 +99,7 @@ func TestTourOrienterHonorsDeadline(t *testing.T) {
 	if !ok {
 		t.Fatal("tour orienter not registered")
 	}
-	co, ok := o.(ContextOrienter)
-	if !ok {
-		t.Fatal("tour orienter must implement ContextOrienter")
-	}
-	_, _, err := co.OrientCtx(expireCtx(t), cancelTestPoints(600), 1, 0)
+	_, _, err := o.OrientCtx(expireCtx(t), cancelTestPoints(600), 1, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -125,16 +121,5 @@ func TestOrientCtxDispatcherCancel(t *testing.T) {
 	// The plain entry point is unaffected.
 	if _, _, err := Orient(pts, 2, 0); err != nil {
 		t.Fatalf("background orient failed: %v", err)
-	}
-}
-
-// TestBatchThreadsContextIntoTour: OrientBatchCtx hands the batch context
-// to checkpoint-capable orienters, so an expired batch refuses its items
-// with the context error rather than orienting them.
-func TestBatchThreadsContextIntoTour(t *testing.T) {
-	pts := cancelTestPoints(600)
-	res := OrientBatchCtx(expireCtx(t), []BatchItem{{Pts: pts, K: 1, Phi: 0, Algo: "tour"}}, 1)
-	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("batch item err = %v, want deadline exceeded", res[0].Err)
 	}
 }

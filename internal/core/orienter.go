@@ -70,20 +70,13 @@ type Orienter interface {
 	// Orient runs the construction. Callers must not rely on the
 	// self-reported Result for correctness — use package verify.
 	Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
-}
-
-// ContextOrienter is implemented by orienters whose constructions carry
-// cancellation checkpoints: OrientCtx abandons the solve with ctx.Err()
-// at the next checkpoint once the context is done, instead of burning the
-// abandoned computation to completion. Orientation is pure CPU work, so
-// checkpoint granularity is per-construction — today the tour 2-opt
-// repair loop (the long pole at large n) polls every few accepted moves;
-// constructions without internal checkpoints honor the context only
-// between phases. The engine's orientation pool (OrientBatchCtx) and the
-// planner's Race prefer this interface when an orienter provides it.
-type ContextOrienter interface {
-	Orienter
-	// OrientCtx runs the construction under the context.
+	// OrientCtx is Orient under a context: an already-done context is
+	// refused up front, and constructions with cancellation checkpoints
+	// abandon the solve with ctx.Err() at the next one instead of burning
+	// the abandoned computation to completion. Orientation is pure CPU
+	// work, so checkpoint granularity is per-construction — today the tour
+	// 2-opt repair loop (the long pole at large n) polls every few accepted
+	// moves; the other constructions run to completion once started.
 	OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
 }
 
@@ -163,8 +156,8 @@ func Orienters() []Orienter {
 
 // funcOrienter adapts plain functions to the Orienter interface; every
 // built-in construction registers through it. Constructions with
-// cancellation checkpoints set orientCtx as well, which upgrades the
-// orienter to a ContextOrienter.
+// cancellation checkpoints set orientCtx as well, which OrientCtx then
+// runs instead of orient.
 type funcOrienter struct {
 	info      OrienterInfo
 	supports  func(k int, phi float64) bool
@@ -396,7 +389,7 @@ func runTour(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result
 	return asg, res
 }
 
-// runTourCtx is runTour with the batch context threaded into the 2-opt
+// runTourCtx is runTour with the solve's context threaded into the 2-opt
 // repair loop: an expired request stops the optimization at the next
 // checkpoint instead of burning the abandoned solve to completion.
 func runTourCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {

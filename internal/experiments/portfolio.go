@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // PortfolioRow aggregates one (orienter, budget) cell of the comparison:
@@ -56,26 +57,28 @@ func RunPortfolio(cfg Config) []PortfolioRow {
 
 	perCell := len(cfg.Workloads) * cfg.Seeds
 	insts := make([]sweepInstance, len(cells)*perCell)
-	core.ParallelFor(len(insts), cfg.Workers, func(idx int) {
-		ci, j := idx/perCell, idx%perCell
-		cell := cells[ci]
-		wl := cfg.Workloads[j/cfg.Seeds]
-		s := j % cfg.Seeds
-		rng := rand.New(rand.NewSource(cfg.BaseSeed + int64(ci)*104729 + int64(j)*7919))
-		pts := MakeWorkload(wl, rng, cfg.Sizes[s%len(cfg.Sizes)])
-		sol, err := cfg.solve(pts, cell.o.Info().Name, cell.kphi.K, cell.kphi.Phi)
-		if err != nil {
-			// The budget passed the Guarantee pre-check, so an error here
-			// is an algorithm failure, not an unsupported instance.
-			insts[idx] = sweepInstance{ran: true}
-			return
-		}
-		// The engine's artifact measures through the independent
-		// verifier, never the construction's self-report.
-		insts[idx] = sweepInstance{
-			ran:     true,
-			success: sol.Verified,
-			ratio:   sol.RadiusRatio,
+	par.For(cfg.Workers, len(insts), 1, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			ci, j := idx/perCell, idx%perCell
+			cell := cells[ci]
+			wl := cfg.Workloads[j/cfg.Seeds]
+			s := j % cfg.Seeds
+			rng := rand.New(rand.NewSource(cfg.BaseSeed + int64(ci)*104729 + int64(j)*7919))
+			pts := MakeWorkload(wl, rng, cfg.Sizes[s%len(cfg.Sizes)])
+			sol, err := cfg.solve(pts, cell.o.Info().Name, cell.kphi.K, cell.kphi.Phi)
+			if err != nil {
+				// The budget passed the Guarantee pre-check, so an error
+				// here is an algorithm failure, not an unsupported instance.
+				insts[idx] = sweepInstance{ran: true}
+				continue
+			}
+			// The engine's artifact measures through the independent
+			// verifier, never the construction's self-report.
+			insts[idx] = sweepInstance{
+				ran:     true,
+				success: sol.Verified,
+				ratio:   sol.RadiusRatio,
+			}
 		}
 	})
 

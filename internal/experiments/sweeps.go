@@ -10,6 +10,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/geom"
 	"repro/internal/mst"
+	"repro/internal/par"
 	"repro/internal/pointset"
 	"repro/internal/radio"
 )
@@ -86,10 +87,12 @@ func PhiSweep(cfg Config, steps int) []SweepPoint {
 	lo := core.Phi2Min
 	hi := core.Phi2Full
 	insts := make([]sweepInstance, (steps+1)*cfg.Seeds)
-	core.ParallelFor(len(insts), cfg.Workers, func(idx int) {
-		i, s := idx/cfg.Seeds, idx%cfg.Seeds
-		phi := lo + (hi-lo)*float64(i)/float64(steps)
-		insts[idx] = runSweepInstance(cfg, cfg.BaseSeed+int64(i*1000+s), s, 2, phi)
+	par.For(cfg.Workers, len(insts), 1, func(from, to int) {
+		for idx := from; idx < to; idx++ {
+			i, s := idx/cfg.Seeds, idx%cfg.Seeds
+			phi := lo + (hi-lo)*float64(i)/float64(steps)
+			insts[idx] = runSweepInstance(cfg, cfg.BaseSeed+int64(i*1000+s), s, 2, phi)
+		}
 	})
 	out := make([]SweepPoint, 0, steps+1)
 	for i := 0; i <= steps; i++ {
@@ -107,9 +110,11 @@ func PhiSweep(cfg Config, steps int) []SweepPoint {
 func KSweep(cfg Config) []SweepPoint {
 	cfg = cfg.orDefault()
 	insts := make([]sweepInstance, 5*cfg.Seeds)
-	core.ParallelFor(len(insts), cfg.Workers, func(idx int) {
-		k, s := idx/cfg.Seeds+1, idx%cfg.Seeds
-		insts[idx] = runSweepInstance(cfg, cfg.BaseSeed+int64(k*1000+s), s, k, 0)
+	par.For(cfg.Workers, len(insts), 1, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			k, s := idx/cfg.Seeds+1, idx%cfg.Seeds
+			insts[idx] = runSweepInstance(cfg, cfg.BaseSeed+int64(k*1000+s), s, k, 0)
+		}
 	})
 	out := make([]SweepPoint, 0, 5)
 	for k := 1; k <= 5; k++ {

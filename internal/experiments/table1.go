@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/par"
 	"repro/internal/pointset"
 	"repro/internal/service"
 	"repro/internal/solution"
@@ -158,21 +159,23 @@ func RunTable1(cfg Config) []RowResult {
 		ratio      float64
 	}
 	results := make([]instResult, len(specs))
-	core.ParallelFor(len(specs), cfg.Workers, func(i int) {
-		sp := specs[i]
-		row := rows[sp.row]
-		rng := rand.New(rand.NewSource(sp.seed))
-		pts := MakeWorkload(sp.wl, rng, sp.n)
-		sol, err := cfg.solve(pts, cfg.algoName(), row.K, row.Phi)
-		if err != nil {
-			results[i] = instResult{orientErr: true}
-			return
-		}
-		results[i] = instResult{
-			guarantee:  sol.ProvedBound,
-			violations: len(sol.Violations),
-			success:    sol.Verified,
-			ratio:      sol.RadiusRatio,
+	par.For(cfg.Workers, len(specs), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sp := specs[i]
+			row := rows[sp.row]
+			rng := rand.New(rand.NewSource(sp.seed))
+			pts := MakeWorkload(sp.wl, rng, sp.n)
+			sol, err := cfg.solve(pts, cfg.algoName(), row.K, row.Phi)
+			if err != nil {
+				results[i] = instResult{orientErr: true}
+				continue
+			}
+			results[i] = instResult{
+				guarantee:  sol.ProvedBound,
+				violations: len(sol.Violations),
+				success:    sol.Verified,
+				ratio:      sol.RadiusRatio,
+			}
 		}
 	})
 

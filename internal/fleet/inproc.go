@@ -156,7 +156,5 @@ func (d *inprocDriver) ServerMetrics(ctx context.Context) (map[string]obs.Histog
 }
 
 func (d *inprocDriver) Close() error {
-	err := d.manager().Close()
-	d.eng.Close()
-	return err
+	return d.manager().Close()
 }

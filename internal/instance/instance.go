@@ -80,8 +80,8 @@ type Config struct {
 	History int
 	// MaxInstances bounds live instances (≤ 0 selects DefaultMaxInstances).
 	MaxInstances int
-	// MaxBatch bounds ops per mutation batch (≤ 0 selects DefaultMaxBatch).
-	MaxBatch int
+	// MaxOps bounds ops per mutation batch (≤ 0 selects DefaultMaxOps).
+	MaxOps int
 	// VerifyAuditEvery is the incremental verifier's escape hatch: every
 	// Nth repaired revision the maintained verdict is re-derived by a
 	// from-scratch verify.Check (with an independently recomputed l_max)
@@ -102,7 +102,7 @@ const (
 	DefaultRepairThreshold  = 0.25
 	DefaultHistory          = 32
 	DefaultMaxInstances     = 256
-	DefaultMaxBatch         = 4096
+	DefaultMaxOps           = 4096
 	DefaultVerifyAuditEvery = 64
 )
 

@@ -87,8 +87,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxInstances <= 0 {
 		cfg.MaxInstances = DefaultMaxInstances
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
+	if cfg.MaxOps <= 0 {
+		cfg.MaxOps = DefaultMaxOps
 	}
 	if cfg.VerifyAuditEvery == 0 {
 		cfg.VerifyAuditEvery = DefaultVerifyAuditEvery
@@ -206,8 +206,8 @@ func (m *Manager) Apply(ctx context.Context, id string, ifMatch uint64, ops []Op
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("instance: empty mutation batch")
 	}
-	if len(ops) > m.cfg.MaxBatch {
-		return nil, fmt.Errorf("instance: batch of %d ops exceeds limit %d", len(ops), m.cfg.MaxBatch)
+	if len(ops) > m.cfg.MaxOps {
+		return nil, fmt.Errorf("instance: batch of %d ops exceeds limit %d", len(ops), m.cfg.MaxOps)
 	}
 	for i, op := range ops {
 		if (op.Op == solution.OpAdd || op.Op == solution.OpMove) && !finite(geom.Point{X: op.X, Y: op.Y}) {

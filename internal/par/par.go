@@ -1,6 +1,7 @@
 // Package par provides the minimal data-parallel helper shared by the
 // compute-bound phases of the solver (Delaunay build phases, verifier
-// scans): a blocked parallel for over an index range. It exists below
+// scans) and the experiment harnesses' per-instance fan-out: a blocked
+// parallel for over an index range. It exists below
 // internal/core so that packages core itself depends on (delaunay, mst,
 // verify) can use it without an import cycle.
 //

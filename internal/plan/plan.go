@@ -271,8 +271,8 @@ type raceOutcome struct {
 // the a-priori rank, so a race with a generous deadline is
 // deterministic.
 //
-// Orientation is CPU-bound Go code with no preemption points, so a
-// candidate that misses the deadline keeps computing in the background
+// Orientation is CPU-bound Go code, so a candidate without cancellation
+// checkpoints that misses the deadline keeps computing in the background
 // until it finishes on its own; its result is discarded. Racing trades
 // that burst of wasted work for instance-measured selection — callers
 // under sustained load should prefer the a-priori Plan.
@@ -298,14 +298,7 @@ func (p *Planner) Race(ctx context.Context, pts []geom.Point, obj Objective, k i
 		go func(i int, o core.Orienter) {
 			// Candidates with cancellation checkpoints stop at the race
 			// deadline instead of burning the lost run to completion.
-			var asg *antenna.Assignment
-			var res *core.Result
-			var err error
-			if co, ok := o.(core.ContextOrienter); ok {
-				asg, res, err = co.OrientCtx(ctx, pts, k, phi)
-			} else {
-				asg, res, err = o.Orient(pts, k, phi)
-			}
+			asg, res, err := o.OrientCtx(ctx, pts, k, phi)
 			out := raceOutcome{idx: i}
 			if err == nil && len(res.Violations) == 0 {
 				out.ok = true

@@ -6,13 +6,12 @@
 // byte-charged LRU, then the durable disk store that survives restarts),
 // single-flights identical in-flight requests into one solve, plans via
 // the orienter registry's declared guarantees (internal/plan), orients
-// through the core.OrientBatch worker pool under the request's context
-// deadline, audits the output with the independent verifier, and fills
-// both tiers with the resulting artifact, content-addressed by (pointset
-// digest, budget, selection mode). The HTTP surface (http.go) adds the
-// request-lifecycle guardrails: bounded-inflight load shedding (429 +
-// Retry-After) and per-request deadlines (503), with every counter
-// exported on /metrics.
+// each miss on its own goroutine under the flight's context, audits the
+// output with the independent verifier, and fills both tiers with the
+// resulting artifact, content-addressed by (pointset digest, budget,
+// selection mode). The HTTP surface (http.go) adds the request-lifecycle
+// guardrails: bounded-inflight load shedding (429 + Retry-After) and
+// per-request deadlines (503), with every counter exported on /metrics.
 package service
 
 import (
@@ -98,16 +97,6 @@ type Options struct {
 	// through to it, and computed artifacts are written back, so equal
 	// requests stay byte-identical across process restarts.
 	Store *solution.Store
-	// Workers sizes the core.OrientBatch pool (≤ 0 selects GOMAXPROCS).
-	Workers int
-	// BatchWindow, when positive, coalesces concurrent Solve calls into
-	// shared core.OrientBatch runs: the first request in a quiet engine
-	// waits at most this long for companions. The antennad server
-	// enables this; in-process CLI engines leave it zero (every Solve
-	// still runs through OrientBatch, as a batch of one).
-	BatchWindow time.Duration
-	// MaxBatch caps a coalesced batch (≤ 0 selects 64).
-	MaxBatch int
 	// Deadline, when positive, is the per-request ceiling the HTTP
 	// layer imposes on /orient; an expired request answers 503.
 	Deadline time.Duration
@@ -156,12 +145,6 @@ type Engine struct {
 	negMu sync.Mutex
 	neg   map[solution.Key]error
 	negLL *list.List // front = most recent; evicts from the back
-
-	batchMu sync.Mutex
-	pending []*batchJob
-	kick    chan struct{}
-	started sync.Once
-	closed  bool
 }
 
 // negCacheCap bounds the negative cache; infeasible keys are tiny, so a
@@ -205,9 +188,6 @@ type flight struct {
 
 // NewEngine builds an engine with the given options.
 func NewEngine(opts Options) *Engine {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
 	if opts.CacheMaxBytes <= 0 {
 		opts.CacheMaxBytes = solution.DefaultCacheBytes
 	}
@@ -218,7 +198,6 @@ func NewEngine(opts Options) *Engine {
 		flights: make(map[solution.Key]*flight),
 		neg:     make(map[solution.Key]error),
 		negLL:   list.New(),
-		kick:    make(chan struct{}, 1),
 	}
 	e.metrics.init()
 	return e
@@ -458,28 +437,38 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		return sol, nil
 	}
 
+	// Every miss orients on its own goroutine under the flight context,
+	// so a large solve never queues a small one behind it, and a flight
+	// nobody waits for any more stops at the construction's next
+	// cancellation checkpoint. The channel is buffered so the orienter
+	// never blocks when the wait below is abandoned.
 	_, endOrient := obs.StartSpan(ctx, "orient")
-	resc := e.orientAsync(ctx, core.BatchItem{Pts: req.Pts, K: req.K, Phi: req.Phi, Algo: algo})
+	resc := make(chan orientOutcome, 1)
+	go func() {
+		var out orientOutcome
+		out.asg, out.res, out.err = orienter.OrientCtx(ctx, req.Pts, req.K, req.Phi)
+		resc <- out
+	}()
 	select {
 	case out := <-resc:
 		endOrient()
-		if out.Err != nil {
+		if out.err != nil {
 			if ctx.Err() != nil {
 				e.noteCtxErr(ctx.Err())
 			} else {
 				e.metrics.OrientErrors.Add(1)
 			}
-			return nil, out.Err
+			return nil, out.err
 		}
 		if err := ctx.Err(); err != nil {
 			// Strict deadline semantics: a result landing after the
 			// deadline reports the expiry, never a lucky scheduling
 			// race — but the artifact is salvaged for the tiers.
 			e.noteCtxErr(err)
-			e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+			e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
 			return nil, err
 		}
-		sol := e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+		sol := e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
 		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
 		return sol, nil
 	case <-ctx.Done():
@@ -487,13 +476,20 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		// The caller is unblocked now; salvage the abandoned solve when
 		// it eventually lands so a retry does not re-pay it.
 		go func() {
-			if out := <-resc; out.Err == nil {
-				e.finish(ctx, req, key, decision, guar, out.Asg, out.Res, lmaxc)
+			if out := <-resc; out.err == nil {
+				e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
 			}
 		}()
 		e.noteCtxErr(ctx.Err())
 		return nil, ctx.Err()
 	}
+}
+
+// orientOutcome carries one orientation's result from its goroutine.
+type orientOutcome struct {
+	asg *antenna.Assignment
+	res *core.Result
+	err error
 }
 
 // prefetchLMax computes the EMST bottleneck of pts on its own goroutine.
@@ -644,108 +640,6 @@ func buildSolution(key solution.Key, req Request, decision *plan.Decision, guar 
 		sol.Algo = req.Algo
 	}
 	return sol
-}
-
-// orientAsync submits one item to the orientation pool and returns the
-// buffered channel its result will land on — the producer never blocks,
-// so a caller abandoning the wait can leave a drainer behind to salvage
-// the result. With batching disabled the item runs as its own batch
-// under the request context (the abandoned orientation finishes in the
-// background — CPU work is not preempted — but the caller is
-// unblocked). With a batch window, concurrent Solves coalesce into
-// shared pool runs; a job whose requester's deadline passes while
-// queued is dropped before the pool runs it.
-func (e *Engine) orientAsync(ctx context.Context, item core.BatchItem) <-chan core.BatchResult {
-	if e.opts.BatchWindow <= 0 {
-		done := make(chan core.BatchResult, 1)
-		go func() { done <- core.OrientBatchCtx(ctx, []core.BatchItem{item}, 1)[0] }()
-		return done
-	}
-	e.started.Do(func() { go e.dispatch() })
-	job := &batchJob{ctx: ctx, item: item, done: make(chan core.BatchResult, 1)}
-	e.batchMu.Lock()
-	if e.closed {
-		e.batchMu.Unlock()
-		job.done <- core.BatchResult{Err: fmt.Errorf("service: engine closed")}
-		return job.done
-	}
-	e.pending = append(e.pending, job)
-	// Kick inside the lock so Close cannot close the channel between
-	// the closed check and the send.
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-	e.batchMu.Unlock()
-	return job.done
-}
-
-// Close stops the batch dispatcher goroutine (a no-op for engines that
-// never batched). Pending jobs are still drained; Solve calls made
-// after Close fail on the batched path.
-func (e *Engine) Close() {
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	if !e.closed {
-		e.closed = true
-		close(e.kick)
-	}
-}
-
-// batchJob couples one queued item with its requester's context and
-// result channel.
-type batchJob struct {
-	ctx  context.Context
-	item core.BatchItem
-	done chan core.BatchResult
-}
-
-// dispatch is the batcher loop: on a kick it waits one batch window for
-// companions, drains up to MaxBatch pending jobs, and runs them through
-// a single core.OrientBatch call.
-func (e *Engine) dispatch() {
-	for range e.kick {
-		time.Sleep(e.opts.BatchWindow)
-		for {
-			e.batchMu.Lock()
-			n := len(e.pending)
-			if n == 0 {
-				e.batchMu.Unlock()
-				break
-			}
-			if n > e.opts.MaxBatch {
-				n = e.opts.MaxBatch
-			}
-			jobs := make([]*batchJob, n)
-			copy(jobs, e.pending[:n])
-			e.pending = append(e.pending[:0], e.pending[n:]...)
-			e.batchMu.Unlock()
-
-			// Shed jobs whose deadline passed while queued — their
-			// requesters are gone, so running them wastes pool slots.
-			live := jobs[:0]
-			for _, j := range jobs {
-				if err := j.ctx.Err(); err != nil {
-					j.done <- core.BatchResult{Err: err}
-					continue
-				}
-				live = append(live, j)
-			}
-			if len(live) == 0 {
-				continue
-			}
-			items := make([]core.BatchItem, len(live))
-			for i, j := range live {
-				items[i] = j.item
-			}
-			e.metrics.Batches.Add(1)
-			e.metrics.BatchedItems.Add(uint64(len(live)))
-			results := core.OrientBatch(items, e.opts.Workers)
-			for i, j := range live {
-				j.done <- results[i]
-			}
-		}
-	}
 }
 
 // Algos describes the registered portfolio for listings (/algos, CLI).

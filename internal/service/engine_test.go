@@ -3,14 +3,16 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/pointset"
 	"repro/internal/verify"
@@ -210,52 +212,109 @@ func TestSolveRejectsHugeK(t *testing.T) {
 	}
 }
 
-// TestSolveBatchedMatchesUnbatched: the coalescing batcher must produce
-// exactly the artifacts the inline path produces.
-func TestSolveBatchedMatchesUnbatched(t *testing.T) {
-	inline := NewEngine(Options{})
-	batched := NewEngine(Options{BatchWindow: time.Millisecond, MaxBatch: 8})
-	defer batched.Close()
-	ctx := context.Background()
+// orientSpan reports whether the trace has opened an "orient" span and
+// whether that span is still open. The flight context keeps its leading
+// caller's trace, so the span is open exactly while the flight's
+// orientation runs.
+func orientSpan(tr *obs.Trace) (started, open bool) {
+	spans, _ := tr.Snapshot()
+	for _, sp := range spans {
+		if sp.Name == "orient" {
+			return true, sp.Dur < 0
+		}
+	}
+	return false, false
+}
 
-	reqs := make([]Request, 12)
-	for i := range reqs {
-		reqs[i] = Request{Pts: uniformPts(40+i, int64(100+i)), K: 1 + i%3, Phi: float64(i%2) * math.Pi, Algo: "table1"}
-	}
-	want := make([][]byte, len(reqs))
-	for i, r := range reqs {
-		sol, _, err := inline.Solve(ctx, r)
-		if err != nil {
-			t.Fatal(err)
+// waitForOrient blocks until the traced flight has started orienting.
+func waitForOrient(t *testing.T, tr *obs.Trace) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if started, _ := orientSpan(tr); started {
+			return
 		}
-		want[i], _ = sol.EncodeJSON()
+		if time.Now().After(deadline) {
+			t.Fatal("the traced miss did not start orienting within 5s")
+		}
+	}
+}
+
+// holPoints sizes the large tour miss of the head-of-line and
+// cancellation tests: over half a second uninterrupted, shrunk under
+// -short so the race-detector run stays within its budget.
+func holPoints() int {
+	if testing.Short() {
+		return 10000
+	}
+	return 50000
+}
+
+// TestSmallMissNotBehindLargeSolve: every miss orients on its own
+// goroutine, so with antennad's defaults an n=100 miss answers while the
+// orientation of a large tour miss on the same engine is still running.
+// The check is on the order of events, not on a latency threshold.
+func TestSmallMissNotBehindLargeSolve(t *testing.T) {
+	eng := NewEngine(Options{})
+	big := Request{Pts: uniformPts(holPoints(), 27), K: 1, Phi: 0, Algo: "tour"}
+	tr := obs.NewTrace("large")
+	bigDone := make(chan error, 1)
+	go func() {
+		_, _, err := eng.Solve(obs.WithTrace(context.Background(), tr), big)
+		bigDone <- err
+	}()
+	waitForOrient(t, tr)
+
+	sol, _, err := eng.Solve(context.Background(), Request{Pts: uniformPts(100, 28), K: 1, Phi: 0, Algo: "tour"})
+	if err != nil || !sol.Verified {
+		t.Fatalf("small miss: err=%v verified=%v", err, sol != nil && sol.Verified)
+	}
+	if _, open := orientSpan(tr); !open {
+		t.Fatal("the large orientation finished before the small miss answered: the small miss queued behind it")
+	}
+	if err := <-bigDone; err != nil {
+		t.Fatalf("large solve: %v", err)
+	}
+}
+
+// solveMissGoroutines reports whether any goroutine is still running a
+// closure of Engine.solveMiss: an orientation, or the salvage of an
+// abandoned one.
+func solveMissGoroutines() bool {
+	buf := make([]byte, 1<<18)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("service.(*Engine).solveMiss.func"))
+}
+
+// TestAbandonedTourMissStopsAtCheckpoint: when the only caller of a
+// running tour miss gives up, the flight context is cancelled and the
+// 2-opt loop stops at its next checkpoint. Once the orientation and any
+// salvage of it have exited, nothing was salvaged into the cache and no
+// solve was counted; an orientation that ignored the context would have
+// run to completion and been salvaged.
+func TestAbandonedTourMissStopsAtCheckpoint(t *testing.T) {
+	eng := NewEngine(Options{})
+	tr := obs.NewTrace("abandoned")
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+	defer cancel()
+	solveErr := make(chan error, 1)
+	go func() {
+		_, _, err := eng.Solve(ctx, Request{Pts: uniformPts(holPoints(), 29), K: 1, Phi: 0, Algo: "tour"})
+		solveErr <- err
+	}()
+	waitForOrient(t, tr)
+	cancel()
+	if err := <-solveErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned miss: err=%v, want context.Canceled", err)
 	}
 
-	got := make([][]byte, len(reqs))
-	var wg sync.WaitGroup
-	errs := make([]error, len(reqs))
-	for i, r := range reqs {
-		wg.Add(1)
-		go func(i int, r Request) {
-			defer wg.Done()
-			sol, _, err := batched.Solve(ctx, r)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got[i], _ = sol.EncodeJSON()
-		}(i, r)
-	}
-	wg.Wait()
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(want[i], got[i]) {
-			t.Fatalf("request %d: batched artifact differs from inline artifact", i)
+	for deadline := time.Now().Add(time.Minute); solveMissGoroutines(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned orientation was still running after a minute")
 		}
 	}
-	if batched.Metrics().Batches.Load() == 0 {
-		t.Fatal("batcher never ran")
+	if n := eng.Metrics().Solves.Load(); n != 0 {
+		t.Fatalf("%d solves counted: the abandoned tour ran to completion and was salvaged", n)
+	}
+	if n := eng.Cache().Len(); n != 0 {
+		t.Fatalf("%d artifacts cached after an abandoned tour miss", n)
 	}
 }

@@ -146,14 +146,47 @@ func TestAbortInflightCancelsRequests(t *testing.T) {
 // Durability failures surface as 503 + Retry-After through the instance
 // error mapper.
 func TestInstanceErrorDurability(t *testing.T) {
+	srv := NewServer(NewEngine(Options{}))
 	rec := httptest.NewRecorder()
-	instanceError(rec, context.DeadlineExceeded)
+	srv.instanceError(rec, context.DeadlineExceeded)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline: %d", rec.Code)
 	}
 	rec2 := httptest.NewRecorder()
-	instanceError(rec2, fmt.Errorf("%w: disk on fire", instance.ErrDurability))
+	srv.instanceError(rec2, fmt.Errorf("%w: disk on fire", instance.ErrDurability))
 	if rec2.Code != http.StatusServiceUnavailable || rec2.Header().Get("Retry-After") == "" {
 		t.Fatalf("durability: code=%d Retry-After=%q", rec2.Code, rec2.Header().Get("Retry-After"))
+	}
+}
+
+// TestDrainAbortAnswers503: once AbortInflight has cancelled the request
+// contexts, a solve unwinding on context.Canceled is the server giving
+// up, not the client. A /orient miss and a full-solve PATCH both answer
+// 503 + Retry-After, which retrying clients ride out, and the instance
+// stays at its old revision.
+func TestDrainAbortAnswers503(t *testing.T) {
+	srv := NewServer(NewEngine(Options{}))
+	h := srv.Handler()
+	// tworay has no repair class, so every PATCH is a full engine solve.
+	rec, _ := doJSON(t, h, "POST", "/instances",
+		`{"id":"abort","gen":{"workload":"uniform","n":20000,"seed":4},"k":2,"phi":0,"algo":"tworay"}`, nil)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+
+	srv.AbortInflight()
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/orient", `{"gen":{"workload":"uniform","n":20000,"seed":5},"k":2,"phi":0,"algo":"tworay"}`},
+		{"PATCH", "/instances/abort", `{"ops":[{"op":"move","index":3,"x":4.25,"y":5.5}]}`},
+	} {
+		rec, _ := doJSON(t, h, c.method, c.path, c.body, nil)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s %s after AbortInflight: %d (Retry-After %q), want 503 + Retry-After: %s",
+				c.method, c.path, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+	}
+	rec, _ = doJSON(t, h, "GET", "/instances/abort", "", nil)
+	if got := rec.Header().Get("ETag"); got != `"1"` {
+		t.Fatalf("instance ETag %s after an aborted PATCH, want \"1\"", got)
 	}
 }

@@ -36,8 +36,8 @@ import (
 // set, excess concurrent /orient requests are shed with 429 and a
 // Retry-After hint instead of queueing without bound; when
 // Options.Deadline is set, each request runs under that context
-// deadline, propagated through the engine into the orientation pool,
-// and an expired request answers 503. Semantics are documented in
+// deadline, propagated through the engine into the orientation, and an
+// expired request answers 503. Semantics are documented in
 // docs/OPERATIONS.md.
 
 // wirePoint is one sensor coordinate in request JSON.
@@ -305,6 +305,29 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return r.Context(), func() {}
 }
 
+// contextError answers a request whose work ended on its context and
+// reports whether err was such an error. An expired deadline or a drain
+// abort (AbortInflight) is the server giving up, not the client: nothing
+// was applied, so both answer 503 + Retry-After and retrying clients ride
+// them out. Any other cancellation is a client that went away; nobody
+// reads that response, and 499 is the conventional (non-standard) code
+// for the logs.
+func (s *Server) contextError(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+	case errors.Is(err, context.Canceled) && s.abortCtx.Err() != nil:
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, "server is draining: %v", err)
+	case errors.Is(err, context.Canceled):
+		w.WriteHeader(499)
+	default:
+		return false
+	}
+	return true
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -367,23 +390,11 @@ func (s *Server) handleOrient(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Objective = obj
 	}
-	ctx := r.Context()
-	if d := s.eng.opts.Deadline; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
 	sol, src, err := s.eng.Solve(ctx, req)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
-		case errors.Is(err, context.Canceled):
-			// The client went away; nobody is reading this response.
-			// 499 is the conventional (non-standard) code for the logs.
-			w.WriteHeader(499)
-		default:
+		if !s.contextError(w, err) {
 			httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		}
 		return

@@ -98,7 +98,10 @@ func revisionResponse(s *instance.Snapshot) instanceRevisionResponse {
 }
 
 // instanceError maps manager errors onto the HTTP vocabulary.
-func instanceError(w http.ResponseWriter, err error) {
+func (s *Server) instanceError(w http.ResponseWriter, err error) {
+	if s.contextError(w, err) {
+		return
+	}
 	switch {
 	case errors.Is(err, instance.ErrConflict), errors.Is(err, instance.ErrExists):
 		httpError(w, http.StatusConflict, "%v", err)
@@ -113,9 +116,6 @@ func instanceError(w http.ResponseWriter, err error) {
 		// The WAL could not acknowledge the mutation (disk trouble); the
 		// state is unchanged and the batch is safe to retry.
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -157,7 +157,7 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	snap, err := s.instances.Create(ctx, body.ID, pts, b)
 	if err != nil {
-		instanceError(w, err)
+		s.instanceError(w, err)
 		return
 	}
 	markRevision(w, snap.Rev, snap.Repair, snap.Class)
@@ -185,13 +185,13 @@ func (s *Server) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := s.instances.Get(id, rev)
 	if err != nil {
-		instanceError(w, err)
+		s.instanceError(w, err)
 		return
 	}
 	if q := r.URL.Query().Get("delta"); q != "" && q != "0" && q != "false" {
 		delta, err := s.instances.Delta(id, rev)
 		if err != nil {
-			instanceError(w, err)
+			s.instanceError(w, err)
 			return
 		}
 		markRevision(w, snap.Rev, snap.Repair, snap.Class)
@@ -227,7 +227,7 @@ func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	snap, err := s.instances.Apply(ctx, r.PathValue("id"), ifMatch, body.Ops)
 	if err != nil {
-		instanceError(w, err)
+		s.instanceError(w, err)
 		return
 	}
 	obs.Annotate(ctx, "repair", snap.Repair)

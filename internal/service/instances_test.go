@@ -42,7 +42,6 @@ func doJSON(t *testing.T, h http.Handler, method, path, body string, hdr map[str
 // and deletion.
 func TestInstanceHTTPLifecycle(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	srv := NewServer(eng)
 	h := srv.Handler()
 
@@ -163,7 +162,6 @@ func TestInstanceHTTPLifecycle(t *testing.T) {
 // answer 410 Gone.
 func TestInstanceHistoryEvictionHTTP(t *testing.T) {
 	eng := NewEngine(Options{InstanceHistory: 2})
-	defer eng.Close()
 	h := NewServer(eng).Handler()
 	rec, _ := doJSON(t, h, "POST", "/instances",
 		`{"id":"e","gen":{"workload":"uniform","n":120,"seed":4},"k":5,"phi":0,"algo":"cover"}`, nil)
@@ -186,7 +184,6 @@ func TestInstanceHistoryEvictionHTTP(t *testing.T) {
 // byte-for-byte identical.
 func TestNegativeCache(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	pts := benchLikePoints(64)
 	// k=1, φ=0 demanding symmetric connectivity: no orienter guarantees
 	// it (the planner rejects the whole portfolio).
@@ -251,7 +248,6 @@ func benchLikePoints(n int) []geom.Point {
 // PATCH; the orient/plan endpoints keep their POST-only contract.
 func TestLegacyEndpointsRejectPatch(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	h := NewServer(eng).Handler()
 	for _, path := range []string{"/orient", "/plan"} {
 		rec, _ := doJSON(t, h, "PATCH", path, `{"k":2,"phi":0}`, nil)
@@ -268,7 +264,6 @@ func TestInstanceReadsDoNotBlockOnSolve(t *testing.T) {
 	solving := make(chan struct{})
 	release := make(chan struct{})
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	inner := eng.InstanceSolver()
 	first := true
 	m := instance.NewManager(instance.Config{

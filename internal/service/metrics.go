@@ -21,8 +21,6 @@ type Metrics struct {
 	Races            atomic.Uint64
 	OrientErrors     atomic.Uint64
 	VerifyFailures   atomic.Uint64
-	Batches          atomic.Uint64
-	BatchedItems     atomic.Uint64
 	Shed             atomic.Uint64
 	DeadlineExceeded atomic.Uint64
 	NegativeHits     atomic.Uint64
@@ -78,8 +76,6 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		{"antennad_races_total", "planner shortlist races", "counter", m.Races.Load()},
 		{"antennad_orient_errors_total", "orientation failures", "counter", m.OrientErrors.Load()},
 		{"antennad_verify_failures_total", "artifacts failing independent verification", "counter", m.VerifyFailures.Load()},
-		{"antennad_batches_total", "coalesced OrientBatch runs", "counter", m.Batches.Load()},
-		{"antennad_batched_items_total", "items routed through coalesced batches", "counter", m.BatchedItems.Load()},
 		{"antennad_cache_entries", "artifacts currently cached in memory", "gauge", uint64(e.cache.Len())},
 		{"antennad_cache_bytes", "encoded bytes currently cached in memory", "gauge", uint64(e.cache.Bytes())},
 	}

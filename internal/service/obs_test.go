@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -139,7 +140,6 @@ func TestOrientTracingHeaders(t *testing.T) {
 // repair path) carry the same tracing surface as /orient.
 func TestInstanceTracingHeaders(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	h := NewServer(eng).Handler()
 
 	phi := fmt.Sprintf("%.15f", core.Phi2Full)
@@ -227,7 +227,6 @@ func TestDebugTracesEndpoint(t *testing.T) {
 // TYPE, no duplicates, coherent histograms.
 func TestMetricsExpositionLint(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	h := NewServer(eng).Handler()
 
 	orient := `{"gen":{"workload":"uniform","n":150,"seed":5},"k":2,"phi":0,"algo":"tworay"}`
@@ -292,7 +291,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 // port.
 func TestDebugHandlerIsolation(t *testing.T) {
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	srv := NewServer(eng)
 
 	serving := httptest.NewServer(srv.Handler())
@@ -364,7 +362,6 @@ func TestTracingOverheadBudget(t *testing.T) {
 	traced := perSpan(obs.WithTrace(context.Background(), obs.NewTrace("bench")))
 
 	eng := NewEngine(Options{})
-	defer eng.Close()
 	solve := time.Duration(1 << 62)
 	for seed := int64(0); seed < 2; seed++ { // distinct keys: both are misses
 		req := Request{Pts: workloadPts("uniform", 2000, 17+seed), K: 2, Phi: 0, Algo: "tworay"}
@@ -388,4 +385,59 @@ func TestTracingOverheadBudget(t *testing.T) {
 		}
 	}
 	t.Logf("per-span: untraced %v, traced %v; miss solve %v", untraced, traced, solve)
+}
+
+// TestMetricsReferenceMatchesScrape: the "/metrics reference" table in
+// docs/OPERATIONS.md names exactly the families a full server exports
+// (engine, disk store, and live-instance tiers; labels like {class=…}
+// stripped), so a family shipped without a row, or a row left behind by
+// a removed family, fails here instead of lingering.
+func TestMetricsReferenceMatchesScrape(t *testing.T) {
+	eng := NewEngine(Options{Store: openStore(t, t.TempDir())})
+	h := NewServer(eng).Handler()
+	phi := fmt.Sprintf("%.15f", core.Phi2Full)
+	if rec, _ := doJSON(t, h, "POST", "/instances",
+		`{"id":"ref","gen":{"workload":"uniform","n":200,"seed":8},"k":2,"phi":`+phi+`,"algo":"cover"}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	if rec, _ := doJSON(t, h, "PATCH", "/instances/ref",
+		`{"ops":[{"op":"move","index":5,"x":3.25,"y":4.5}]}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("patch: %d %s", rec.Code, rec.Body)
+	}
+	rec, _ := doJSON(t, h, "GET", "/metrics", "", nil)
+	scraped, _, err := obs.ParsePrometheus(strings.NewReader(rec.Body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## /metrics reference\n")
+	if !ok {
+		t.Fatal("docs/OPERATIONS.md has no \"## /metrics reference\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(table, "\n") {
+		name, ok := strings.CutPrefix(line, "| `antennad_")
+		if !ok {
+			continue
+		}
+		name, _, _ = strings.Cut(name, "`")
+		name, _, _ = strings.Cut(name, "{")
+		documented["antennad_"+name] = true
+	}
+
+	for name := range scraped {
+		if !documented[name] {
+			t.Errorf("/metrics exports %s, which has no row in the docs/OPERATIONS.md reference", name)
+		}
+	}
+	for name := range documented {
+		if _, ok := scraped[name]; !ok {
+			t.Errorf("docs/OPERATIONS.md documents %s, which /metrics does not export", name)
+		}
+	}
 }
