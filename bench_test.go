@@ -66,7 +66,7 @@ func BenchmarkOrienter(b *testing.B) {
 	pts := benchPoints(2000)
 	for _, o := range core.Orienters() {
 		info := o.Info()
-		b.Run(info.Name, func(b *testing.B) {
+		b.Run(info.Name+"/n=2000", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				asg, res, err := o.Orient(pts, info.RepK, info.RepPhi)
 				if err != nil {
@@ -76,8 +76,8 @@ func BenchmarkOrienter(b *testing.B) {
 					b.Fatalf("violations: %s", res.Violations[0])
 				}
 				if i == 0 {
-					// Untimed, so numbers stay comparable with the
-					// cmd/benchjson entries of the same name.
+					// Untimed: the row prices the orientation alone, not
+					// the connectivity audit.
 					b.StopTimer()
 					if !verify.CheckStrong(asg) {
 						b.Fatal("not strongly connected")
@@ -115,6 +115,11 @@ func BenchmarkMST(b *testing.B) {
 		b.Run(fmt.Sprintf("kruskal/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mst.Kruskal(pts)
+			}
+		})
+		b.Run(fmt.Sprintf("delaunay/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mst.Delaunay(pts)
 			}
 		})
 	}
@@ -295,114 +300,134 @@ func BenchmarkInterference(b *testing.B) {
 // across the full portfolio grid per iteration — the cost the engine
 // adds on a cache miss before any orientation work.
 func BenchmarkPlanner(b *testing.B) {
-	var p plan.Planner
-	budgets := core.PortfolioBudgets()
-	objs := []plan.Objective{
-		{Conn: core.ConnStrong, Minimize: plan.MinStretch},
-		{Conn: core.ConnSymmetric, Minimize: plan.MinStretch},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, obj := range objs {
-			for _, kp := range budgets {
-				_, _ = p.Plan(obj, kp.K, kp.Phi)
+	b.Run("grid", func(b *testing.B) {
+		var p plan.Planner
+		budgets := core.PortfolioBudgets()
+		objs := []plan.Objective{
+			{Conn: core.ConnStrong, Minimize: plan.MinStretch},
+			{Conn: core.ConnSymmetric, Minimize: plan.MinStretch},
+		}
+		for i := 0; i < b.N; i++ {
+			for _, obj := range objs {
+				for _, kp := range budgets {
+					_, _ = p.Plan(obj, kp.K, kp.Phi)
+				}
 			}
 		}
-	}
+	})
 }
 
-// BenchmarkEngineCacheHit measures the engine's hot path: a repeated
-// request served from the content-addressed cache (pointset digest +
-// LRU lookup, no orientation).
-func BenchmarkEngineCacheHit(b *testing.B) {
-	eng := service.NewEngine(service.Options{})
+// BenchmarkEngine measures the engine's three request paths at n=2000.
+// cache-hit is the hot path: a repeated request served from the
+// content-addressed cache (pointset digest + LRU lookup, no
+// orientation). store-hit is the durable tier: a request missing the
+// in-memory LRU but resident on disk (digest, L1 miss, sharded read,
+// checksum + decode, L1 promotion) — the cost of the first repeat after
+// an antennad restart. solve-miss is the full path: digest, plan,
+// orient, verify, cache fill.
+func BenchmarkEngine(b *testing.B) {
 	pts := benchPoints(2000)
 	req := service.Request{Pts: pts, K: 2, Phi: math.Pi, Algo: "table1"}
-	if _, _, err := eng.Solve(context.Background(), req); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, src, err := eng.Solve(context.Background(), req)
+	b.Run("cache-hit/n=2000", func(b *testing.B) {
+		eng := service.NewEngine(service.Options{})
+		if _, _, err := eng.Solve(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, src, err := eng.Solve(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if src != service.SourceMemory {
+				b.Fatalf("source %v, want memory", src)
+			}
+		}
+	})
+	b.Run("store-hit/n=2000", func(b *testing.B) {
+		dir := b.TempDir()
+		seedStore, err := solution.OpenStore(dir, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if src != service.SourceMemory {
-			b.Fatal("expected a memory cache hit")
-		}
-	}
-}
-
-// BenchmarkEngineStoreHit measures the durable tier's hot path: a
-// request missing the in-memory LRU but resident on disk (digest, L1
-// miss, sharded read, checksum + decode, L1 promotion) — the cost of the
-// first repeat after an antennad restart.
-func BenchmarkEngineStoreHit(b *testing.B) {
-	dir := b.TempDir()
-	seedStore, err := solution.OpenStore(dir, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts := benchPoints(2000)
-	req := service.Request{Pts: pts, K: 2, Phi: math.Pi, Algo: "table1"}
-	if _, _, err := service.NewEngine(service.Options{Store: seedStore}).Solve(context.Background(), req); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		st, err := solution.OpenStore(dir, 0)
-		if err != nil {
+		if _, _, err := service.NewEngine(service.Options{Store: seedStore}).Solve(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
-		eng := service.NewEngine(service.Options{Store: st}) // cold L1, warm disk
-		b.StartTimer()
-		_, src, err := eng.Solve(context.Background(), req)
-		if err != nil {
-			b.Fatal(err)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st, err := solution.OpenStore(dir, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := service.NewEngine(service.Options{Store: st}) // cold L1, warm disk
+			b.StartTimer()
+			_, src, err := eng.Solve(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if src != service.SourceDisk {
+				b.Fatalf("source %v, want disk", src)
+			}
 		}
-		if src != service.SourceDisk {
-			b.Fatalf("source %v, want disk", src)
+	})
+	b.Run("solve-miss/n=2000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := service.NewEngine(service.Options{}) // fresh cache each round
+			b.StartTimer()
+			_, src, err := eng.Solve(context.Background(), service.Request{Pts: pts, K: 2, Phi: 0})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if src.Hit() {
+				b.Fatal("unexpected cache hit")
+			}
 		}
-	}
-}
-
-// BenchmarkEngineSolveMiss measures the full engine path on a cache
-// miss: digest, plan, orient, verify, cache fill.
-func BenchmarkEngineSolveMiss(b *testing.B) {
-	pts := benchPoints(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := service.NewEngine(service.Options{}) // fresh cache each round
-		b.StartTimer()
-		_, src, err := eng.Solve(context.Background(), service.Request{Pts: pts, K: 2, Phi: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if src.Hit() {
-			b.Fatal("unexpected cache hit")
-		}
-	}
+	})
 }
 
 // churnBatch builds one deterministic mutation batch modeling sensor
 // churn: two sensors drift locally (~the mean spacing), one joins, one
 // fails — never reusing the deployment's coordinate stream.
 func churnBatch(rng *rand.Rand, cur []geom.Point, side float64) []instance.Op {
-	drift := func() []float64 {
+	drift := func() instance.Op {
 		i := rng.Intn(len(cur))
 		p := cur[i]
-		x := math.Min(math.Max(p.X+rng.NormFloat64(), 0), side)
-		y := math.Min(math.Max(p.Y+rng.NormFloat64(), 0), side)
-		return []float64{float64(i), x, y}
+		return instance.Op{Op: solution.OpMove, Index: i,
+			X: math.Min(math.Max(p.X+rng.NormFloat64(), 0), side),
+			Y: math.Min(math.Max(p.Y+rng.NormFloat64(), 0), side)}
 	}
-	d1, d2 := drift(), drift()
 	return []instance.Op{
-		{Op: solution.OpMove, Index: int(d1[0]), X: d1[1], Y: d1[2]},
-		{Op: solution.OpMove, Index: int(d2[0]), X: d2[1], Y: d2[2]},
+		drift(),
+		drift(),
 		{Op: solution.OpAdd, X: rng.Float64() * side, Y: rng.Float64() * side},
 		{Op: solution.OpRemove, Index: rng.Intn(len(cur))},
+	}
+}
+
+// churnApply times one churn revision per iteration on instance id of
+// m: the batch is built and the caller's point mirror advanced outside
+// the timer, so the row prices Apply alone. check audits each served
+// snapshot, also untimed.
+func churnApply(b *testing.B, m *instance.Manager, id string, pts []geom.Point, side float64, check func(i int, snap *instance.Snapshot)) {
+	rng := rand.New(rand.NewSource(31007))
+	cur := append([]geom.Point(nil), pts...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ops := churnBatch(rng, cur, side)
+		b.StartTimer()
+		snap, err := m.Apply(context.Background(), id, 0, ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
+			b.Fatal(err)
+		}
+		check(i, snap)
+		b.StartTimer()
 	}
 }
 
@@ -429,49 +454,80 @@ func BenchmarkInstanceChurn(b *testing.B) {
 		threshold float64
 		want      string
 		wal       instance.SyncPolicy
-		hasWAL    bool
 	}{
-		{"repair", 0, instance.RepairIncremental, "", false},
-		{"repair/wal=always", 0, instance.RepairIncremental, instance.SyncAlways, true},
-		{"repair/wal=interval", 0, instance.RepairIncremental, instance.SyncInterval, true},
-		{"repair/wal=off", 0, instance.RepairIncremental, instance.SyncOff, true},
-		{"full-solve", -1, instance.RepairFull, "", false},
+		{"repair", 0, instance.RepairIncremental, ""},
+		{"repair/wal=always", 0, instance.RepairIncremental, instance.SyncAlways},
+		{"repair/wal=interval", 0, instance.RepairIncremental, instance.SyncInterval},
+		{"repair/wal=off", 0, instance.RepairIncremental, instance.SyncOff},
+		{"full-solve", -1, instance.RepairFull, ""},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
 			opts := service.Options{RepairThreshold: mode.threshold}
-			if mode.hasWAL {
+			if mode.wal != "" {
 				opts.InstanceWAL = &instance.WALConfig{Dir: b.TempDir(), Policy: mode.wal}
 			}
-			eng := service.NewEngine(opts)
-			m := service.NewInstanceManager(eng)
+			m := service.NewInstanceManager(service.NewEngine(opts))
 			defer m.Close()
 			pts := benchPoints(n)
-			side := math.Sqrt(float64(n))
 			if _, err := m.Create(context.Background(), "churn", pts, budget); err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(31007))
-			cur := append([]geom.Point(nil), pts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ops := churnBatch(rng, cur, side)
-				snap, err := m.Apply(context.Background(), "churn", 0, ops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+			churnApply(b, m, "churn", pts, math.Sqrt(n), func(i int, snap *instance.Snapshot) {
 				if snap.Repair != mode.want {
 					b.Fatalf("iteration %d served %q, want %q", i, snap.Repair, mode.want)
 				}
 				if !snap.Sol.Verified {
 					b.Fatal("revision not verified")
 				}
-			}
+			})
 		})
+	}
+}
+
+// BenchmarkRepairScaling pairs each repair class (emst = the cover rule,
+// tour = the bottleneck cycle, bats = the one-wedge regime) at a small
+// and a beyond-threshold size: the same churn batch served by the
+// class's incremental repair and, with repair disabled, by a full engine
+// solve. benchjson -check-repair requires the repair side to win above
+// n=10000. The repair rows tolerate an occasional dirty-threshold or
+// 2-opt fallback (cheap full solves only *raise* the measured ns/op, so
+// the gate stays honest) but fail if repairs stop being the norm.
+func BenchmarkRepairScaling(b *testing.B) {
+	for _, row := range []struct {
+		class  string
+		budget instance.Budget
+	}{
+		{"emst", instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}},
+		{"tour", instance.Budget{K: 1, Phi: 0, Algo: "tour"}},
+		{"bats", instance.Budget{K: 1, Phi: core.Phi1Full, Algo: "bats"}},
+	} {
+		for _, n := range []int{2000, 20000} {
+			for _, mode := range []struct {
+				name      string
+				threshold float64
+			}{{"repair", 0}, {"full", -1}} {
+				b.Run(fmt.Sprintf("%s/%s/n=%d", row.class, mode.name, n), func(b *testing.B) {
+					m := service.NewInstanceManager(service.NewEngine(service.Options{RepairThreshold: mode.threshold}))
+					defer m.Close()
+					pts := benchPoints(n)
+					if _, err := m.Create(context.Background(), "rs", pts, row.budget); err != nil {
+						b.Fatal(err)
+					}
+					repaired := 0
+					churnApply(b, m, "rs", pts, math.Sqrt(float64(n)), func(i int, snap *instance.Snapshot) {
+						if snap.Repair == instance.RepairIncremental {
+							repaired++
+						}
+						if mode.threshold < 0 && snap.Repair != instance.RepairFull {
+							b.Fatalf("iteration %d served %q with repair disabled", i, snap.Repair)
+						}
+					})
+					if mode.threshold == 0 && repaired*5 < b.N*4 {
+						b.Fatalf("only %d of %d batches repaired incrementally", repaired, b.N)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -482,52 +538,54 @@ func BenchmarkInstanceChurn(b *testing.B) {
 // cost a crashed antennad pays per surviving instance.
 func BenchmarkInstanceRecovery(b *testing.B) {
 	const n, revs = 2000, 64
-	dir := b.TempDir()
-	eng := service.NewEngine(service.Options{})
-	cfg := func() instance.Config {
-		return instance.Config{
-			Solve: eng.InstanceSolver(),
-			// A log cap far above 64 records keeps compaction out of the
-			// measurement: recovery replays every revision.
-			WAL: &instance.WALConfig{Dir: dir, Policy: instance.SyncOff, MaxLogBytes: 64 << 20},
+	b.Run(fmt.Sprintf("n=%d/revs=%d", n, revs), func(b *testing.B) {
+		dir := b.TempDir()
+		eng := service.NewEngine(service.Options{})
+		cfg := func() instance.Config {
+			return instance.Config{
+				Solve: eng.InstanceSolver(),
+				// A log cap far above 64 records keeps compaction out of
+				// the measurement: recovery replays every revision.
+				WAL: &instance.WALConfig{Dir: dir, Policy: instance.SyncOff, MaxLogBytes: 64 << 20},
+			}
 		}
-	}
-	m := instance.NewManager(cfg())
-	pts := benchPoints(n)
-	side := math.Sqrt(float64(n))
-	if _, err := m.Create(context.Background(), "churn", pts, instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31007))
-	cur := append([]geom.Point(nil), pts...)
-	for r := 0; r < revs; r++ {
-		ops := churnBatch(rng, cur, side)
-		if _, err := m.Apply(context.Background(), "churn", 0, ops); err != nil {
+		m := instance.NewManager(cfg())
+		pts := benchPoints(n)
+		side := math.Sqrt(float64(n))
+		if _, err := m.Create(context.Background(), "churn", pts, instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}); err != nil {
 			b.Fatal(err)
 		}
-		var err error
-		if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
+		rng := rand.New(rand.NewSource(31007))
+		cur := append([]geom.Point(nil), pts...)
+		for r := 0; r < revs; r++ {
+			ops := churnBatch(rng, cur, side)
+			if _, err := m.Apply(context.Background(), "churn", 0, ops); err != nil {
+				b.Fatal(err)
+			}
+			var err error
+			if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := m.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m2 := instance.NewManager(cfg())
-		cnt, err := m2.Recover(context.Background())
-		if err != nil || cnt != 1 {
-			b.Fatalf("recovered %d instances, err %v", cnt, err)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m2 := instance.NewManager(cfg())
+			cnt, err := m2.Recover(context.Background())
+			if err != nil || cnt != 1 {
+				b.Fatalf("recovered %d instances, err %v", cnt, err)
+			}
+			b.StopTimer()
+			snap, err := m2.Get("churn", 0)
+			if err != nil || snap.Rev != revs+1 || !snap.Sol.Verified {
+				b.Fatalf("recovered state: snap=%+v err=%v", snap, err)
+			}
+			m2.Close()
+			b.StartTimer()
 		}
-		b.StopTimer()
-		snap, err := m2.Get("churn", 0)
-		if err != nil || snap.Rev != revs+1 || !snap.Sol.Verified {
-			b.Fatalf("recovered state: snap=%+v err=%v", snap, err)
-		}
-		m2.Close()
-		b.StartTimer()
-	}
+	})
 }
 
 // BenchmarkVerify measures the full verification battery.

@@ -1,23 +1,33 @@
-// Command benchjson runs the tier-1 substrate benchmarks in-process (via
-// testing.Benchmark, no go-test subprocess) and writes the results as
-// JSON, establishing the perf trajectory future PRs are measured against.
+// Command benchjson turns `go test -bench` output into the JSON rows of
+// BENCH_baseline.json and audits committed benchmark files in CI. The
+// *_test.go benchmarks are the only benchmark bodies; benchjson never
+// runs code of its own.
 //
 // Usage:
 //
-//	benchjson [-o BENCH_baseline.json] [-benchtime 1s] [-only REGEX]
+//	go test -run '^$' -bench . -benchmem . ./internal/obs | benchjson [-o BENCH_baseline.json]
 //	benchjson -check-fleet BENCH_fleet.json
 //	benchjson -check-scaling BENCH_baseline.json [-max-growth 25]
 //	benchjson -check-repair BENCH_baseline.json
 //
-// -only restricts the run to benchmarks whose name matches the regexp —
-// handy for refreshing one family of rows without re-running the n=10⁶
-// series (merge the resulting file's benches by hand or with jq).
+// With no -check-* flag, benchjson echoes standard input to standard
+// output and parses it: the goos/goarch headers, and one row per
+// `Benchmark<name>-<procs> N value unit ...` line. ns/op, B/op and
+// allocs/op fill the row's fixed fields; any other unit (a
+// b.ReportMetric value such as BenchmarkTable1's paper-bound) lands in
+// its metrics map. The -<procs> suffix go test appends is stripped and
+// recorded as gomaxprocs (no suffix means 1). A failed test or
+// benchmark, a duplicate or malformed row, a row without the -benchmem
+// columns, mixed suffixes, or no rows at all fail the run before the
+// output file is written, so a broken pipe never leaves a partial
+// baseline. go test's own -bench and -benchtime choose the rows and the
+// budget.
 //
-// -check-fleet validates a fleetsim soak file instead of running the
-// benchmarks: every row must decode strictly (unknown fields rejected)
-// against the fleet report schema (fleet/v1 and fleet/v2 are accepted;
-// v2 adds optional server-side histogram summaries) — the CI gate that
-// keeps BENCH_fleet.json machine-readable as the format evolves.
+// -check-fleet validates a fleetsim soak file: every row must decode
+// strictly (unknown fields rejected) against the fleet report schema
+// (fleet/v1 and fleet/v2 are accepted; v2 adds optional server-side
+// histogram summaries) — the CI gate that keeps BENCH_fleet.json
+// machine-readable as the format evolves.
 //
 // -check-scaling audits a baseline file's scaling series (benches named
 // <prefix>/n=<size>): across every whole-decade step the ns/op growth
@@ -31,33 +41,19 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
+	"io"
 	"os"
-	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/delaunay"
 	"repro/internal/fleet"
-	"repro/internal/geom"
-	"repro/internal/instance"
-	"repro/internal/mst"
-	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/pointset"
-	"repro/internal/service"
-	"repro/internal/solution"
 )
 
 // checkFleet strictly validates a BENCH_fleet.json row array. Any
@@ -101,13 +97,9 @@ func checkFleet(path string) error {
 // near 11–13× per decade, an accidental O(n²) regression near 100×, so
 // the gate separates them with room for runner noise on either side.
 func checkScaling(path string, maxGrowth float64) error {
-	data, err := os.ReadFile(path)
+	base, err := loadBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	type point struct {
 		n  int
@@ -167,13 +159,9 @@ func checkScaling(path string, maxGrowth float64) error {
 // context but not gated — at small n a full solve is cheap enough that
 // repair's constant costs can tie it without being a regression.
 func checkRepair(path string) error {
-	data, err := os.ReadFile(path)
+	base, err := loadBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	const prefix = "BenchmarkRepairScaling/"
 	type pair struct{ repair, full float64 }
@@ -240,39 +228,14 @@ func checkRepair(path string) error {
 	return nil
 }
 
-// benchPoints mirrors the deterministic workload generator of the root
-// bench suite (same seed formula), so numbers here are comparable with
-// `go test -bench`.
-func benchPoints(n int) []geom.Point {
-	rng := rand.New(rand.NewSource(int64(n) + 4242))
-	return pointset.Uniform(rng, n, math.Sqrt(float64(n)))
-}
-
-// churnBatch mirrors BenchmarkInstanceChurn's sensor-churn batch: two
-// local drifts, one join, one failure.
-func churnBatch(rng *rand.Rand, cur []geom.Point, side float64) []solution.PointOp {
-	drift := func() solution.PointOp {
-		i := rng.Intn(len(cur))
-		p := cur[i]
-		return solution.PointOp{Op: solution.OpMove, Index: i,
-			X: math.Min(math.Max(p.X+rng.NormFloat64(), 0), side),
-			Y: math.Min(math.Max(p.Y+rng.NormFloat64(), 0), side)}
-	}
-	return []solution.PointOp{
-		drift(),
-		drift(),
-		{Op: solution.OpAdd, X: rng.Float64() * side, Y: rng.Float64() * side},
-		{Op: solution.OpRemove, Index: rng.Intn(len(cur))},
-	}
-}
-
 // Entry is one benchmark measurement.
 type Entry struct {
-	Name     string  `json:"name"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	Iters    int     `json:"iterations"`
-	AllocsOp int64   `json:"allocs_per_op"`
-	BytesOp  int64   `json:"bytes_per_op"`
+	Name     string             `json:"name"`
+	NsPerOp  float64            `json:"ns_per_op"`
+	Iters    int                `json:"iterations"`
+	AllocsOp int64              `json:"allocs_per_op"`
+	BytesOp  int64              `json:"bytes_per_op"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Baseline is the file layout of BENCH_baseline.json.
@@ -284,477 +247,141 @@ type Baseline struct {
 	Benches   []Entry `json:"benches"`
 }
 
+// loadBaseline reads a BENCH_baseline.json-shaped file.
+func loadBaseline(path string) (Baseline, error) {
+	var base Baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("%s: %w", path, err)
+	}
+	return base, nil
+}
+
+// parse reads `go test -bench -benchmem` output into a Baseline; the
+// package comment lists what it rejects.
+func parse(r io.Reader) (Baseline, error) {
+	base := Baseline{GoMaxProc: -1}
+	seen := make(map[string]bool)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "FAIL") || strings.Contains(line, "--- FAIL") {
+			return Baseline{}, fmt.Errorf("benchmark run failed: %s", line)
+		}
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			base.GoOS = v
+		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			base.GoArch = v
+		} else if strings.HasPrefix(line, "Benchmark") {
+			e, procs, err := parseRow(line)
+			if err != nil {
+				return Baseline{}, err
+			}
+			if base.GoMaxProc >= 0 && procs != base.GoMaxProc {
+				return Baseline{}, fmt.Errorf("%s: GOMAXPROCS suffix -%d, earlier rows had -%d", e.Name, procs, base.GoMaxProc)
+			}
+			if seen[e.Name] {
+				return Baseline{}, fmt.Errorf("duplicate row %s", e.Name)
+			}
+			base.GoMaxProc = procs
+			seen[e.Name] = true
+			base.Benches = append(base.Benches, e)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Baseline{}, err
+	}
+	if len(base.Benches) == 0 {
+		return Baseline{}, fmt.Errorf("no benchmark rows in the input")
+	}
+	return base, nil
+}
+
+// parseRow parses one `Benchmark<name>[-procs] N value unit ...` line.
+func parseRow(line string) (Entry, int, error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 {
+		return Entry{}, 0, fmt.Errorf("malformed benchmark row %q", line)
+	}
+	e := Entry{Name: f[0]}
+	procs := 1
+	if i := strings.LastIndexByte(e.Name, '-'); i >= 0 {
+		if p, err := strconv.Atoi(e.Name[i+1:]); err == nil && p > 0 {
+			e.Name, procs = e.Name[:i], p
+		}
+	}
+	var err error
+	if e.Iters, err = strconv.Atoi(f[1]); err != nil {
+		return Entry{}, 0, fmt.Errorf("malformed benchmark row %q", line)
+	}
+	var hasNs, hasBytes, hasAllocs bool
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Entry{}, 0, fmt.Errorf("malformed benchmark row %q", line)
+		}
+		switch unit := f[i+1]; unit {
+		case "ns/op":
+			e.NsPerOp, hasNs = v, true
+		case "B/op":
+			e.BytesOp, hasBytes = int64(v), true
+		case "allocs/op":
+			e.AllocsOp, hasAllocs = int64(v), true
+		default:
+			if e.Metrics == nil {
+				e.Metrics = make(map[string]float64)
+			}
+			e.Metrics[unit] = v
+		}
+	}
+	if !hasNs || !hasBytes || !hasAllocs {
+		return Entry{}, 0, fmt.Errorf("%s: row lacks ns/op, B/op or allocs/op (run go test with -benchmem)", e.Name)
+	}
+	return e, procs, nil
+}
+
+// record parses benchmark output from r and writes it to path as JSON.
+func record(r io.Reader, path string) error {
+	base, err := parse(r)
+	if err != nil {
+		return err
+	}
+	base.Timestamp = time.Now().UTC().Format(time.RFC3339)
+	data, err := json.MarshalIndent(base, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d rows to %s\n", len(base.Benches), path)
+	return nil
+}
+
 func main() {
-	testing.Init() // register test.* flags so the benchtime budget is settable
-	out := flag.String("o", "BENCH_baseline.json", "output file")
-	benchtime := flag.Duration("benchtime", time.Second, "target time per benchmark")
+	out := flag.String("o", "BENCH_baseline.json", "output file for the parsed go test -bench rows")
 	fleetFile := flag.String("check-fleet", "", "validate this fleetsim soak file against the fleet report schema and exit")
 	scalingFile := flag.String("check-scaling", "", "audit the per-decade growth of the scaling series in this baseline file and exit")
 	maxGrowth := flag.Float64("max-growth", 25, "largest allowed ns/op growth per 10x n step for -check-scaling")
 	repairFile := flag.String("check-repair", "", "audit this baseline file's repair-vs-full pairs (repair must win above n=10000) and exit")
-	only := flag.String("only", "", "run only benchmarks whose name matches this regexp")
 	flag.Parse()
-	if *fleetFile != "" {
-		if err := checkFleet(*fleetFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *fleetFile != "":
+		err = checkFleet(*fleetFile)
+	case *scalingFile != "":
+		err = checkScaling(*scalingFile, *maxGrowth)
+	case *repairFile != "":
+		err = checkRepair(*repairFile)
+	default:
+		// Echo the go test output so a piped run still shows progress.
+		err = record(io.TeeReader(os.Stdin, os.Stdout), *out)
 	}
-	if *scalingFile != "" {
-		if err := checkScaling(*scalingFile, *maxGrowth); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *repairFile != "" {
-		if err := checkRepair(*repairFile); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-
-	type bench struct {
-		name string
-		fn   func(b *testing.B)
-	}
-	benches := []bench{
-		{"BenchmarkMST/prim/n=4000", func(b *testing.B) {
-			pts := benchPoints(4000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mst.Prim(pts)
-			}
-		}},
-		{"BenchmarkMST/kruskal/n=4000", func(b *testing.B) {
-			pts := benchPoints(4000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mst.Kruskal(pts)
-			}
-		}},
-		{"BenchmarkMST/delaunay/n=4000", func(b *testing.B) {
-			pts := benchPoints(4000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mst.Delaunay(pts)
-			}
-		}},
-		{"BenchmarkInducedDigraph/n=2000", func(b *testing.B) {
-			pts := benchPoints(2000)
-			asg, _, err := core.Orient(pts, 2, math.Pi)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				asg.InducedDigraph()
-			}
-		}},
-	}
-	for _, n := range []int{1000, 10000, 100000, 1000000} {
-		n := n
-		benches = append(benches, bench{
-			fmt.Sprintf("BenchmarkDelaunayScaling/n=%d", n),
-			func(b *testing.B) {
-				pts := benchPoints(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := delaunay.Build(pts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-	}
-	// Full verified solves across decades up to n=10⁶: orient at the
-	// representative cover budget plus the independent verifier, with the
-	// EMST bottleneck prefetched concurrently — the single-solve scaling
-	// trajectory the -check-scaling gate audits.
-	for _, n := range []int{10000, 100000, 1000000} {
-		n := n
-		benches = append(benches, bench{
-			fmt.Sprintf("BenchmarkSolveScaling/cover/n=%d", n),
-			func(b *testing.B) {
-				pts := benchPoints(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					eng := service.NewEngine(service.Options{}) // fresh cache each round
-					b.StartTimer()
-					sol, _, err := eng.Solve(context.Background(),
-						service.Request{Pts: pts, K: 2, Phi: core.Phi2Full, Algo: "cover"})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(sol.VerifyErrors) > 0 {
-						b.Fatalf("verification failed: %v", sol.VerifyErrors)
-					}
-				}
-			},
-		})
-	}
-	// Engine-layer entries: planner overhead (a-priori selection across
-	// the portfolio grid) and the cache-hit hot path the antennad server
-	// serves repeated requests from.
-	benches = append(benches,
-		bench{"BenchmarkPlanner/grid", func(b *testing.B) {
-			var p plan.Planner
-			budgets := core.PortfolioBudgets()
-			objs := []plan.Objective{
-				{Conn: core.ConnStrong, Minimize: plan.MinStretch},
-				{Conn: core.ConnSymmetric, Minimize: plan.MinStretch},
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, obj := range objs {
-					for _, kp := range budgets {
-						_, _ = p.Plan(obj, kp.K, kp.Phi)
-					}
-				}
-			}
-		}},
-		bench{"BenchmarkEngine/cache-hit/n=2000", func(b *testing.B) {
-			eng := service.NewEngine(service.Options{})
-			req := service.Request{Pts: benchPoints(2000), K: 2, Phi: math.Pi, Algo: "table1"}
-			if _, _, err := eng.Solve(context.Background(), req); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, src, err := eng.Solve(context.Background(), req); err != nil || src != service.SourceMemory {
-					b.Fatalf("src=%v err=%v", src, err)
-				}
-			}
-		}},
-		bench{"BenchmarkEngine/store-hit/n=2000", func(b *testing.B) {
-			dir, err := os.MkdirTemp("", "benchstore")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			seedStore, err := solution.OpenStore(dir, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			req := service.Request{Pts: benchPoints(2000), K: 2, Phi: math.Pi, Algo: "table1"}
-			if _, _, err := service.NewEngine(service.Options{Store: seedStore}).Solve(context.Background(), req); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st, err := solution.OpenStore(dir, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := service.NewEngine(service.Options{Store: st}) // cold L1, warm disk
-				b.StartTimer()
-				if _, src, err := eng.Solve(context.Background(), req); err != nil || src != service.SourceDisk {
-					b.Fatalf("src=%v err=%v", src, err)
-				}
-			}
-		}},
-	)
-	// Live-instance churn: a small drift/join/fail batch served by the
-	// incremental repair path vs the same batch with repair disabled (a
-	// full engine solve per revision) — the headline numbers of the
-	// streaming-churn scenario class. The wal=* variants rerun the repair
-	// mode with the write-ahead log on at each fsync policy; wal=interval
-	// (the production default) must stay within 1.5× of the no-WAL
-	// repair baseline.
-	churnModes := []struct {
-		name      string
-		threshold float64
-		want      string
-		wal       instance.SyncPolicy
-	}{
-		{"repair", 0, instance.RepairIncremental, ""},
-		{"repair/wal=always", 0, instance.RepairIncremental, instance.SyncAlways},
-		{"repair/wal=interval", 0, instance.RepairIncremental, instance.SyncInterval},
-		{"repair/wal=off", 0, instance.RepairIncremental, instance.SyncOff},
-		{"full-solve", -1, instance.RepairFull, ""},
-	}
-	for _, mode := range churnModes {
-		mode := mode
-		benches = append(benches, bench{
-			"BenchmarkInstanceChurn/" + mode.name + "/n=2000",
-			func(b *testing.B) {
-				opts := service.Options{RepairThreshold: mode.threshold}
-				var walDir string
-				if mode.wal != "" {
-					dir, err := os.MkdirTemp("", "benchwal")
-					if err != nil {
-						b.Fatal(err)
-					}
-					walDir = dir
-					opts.InstanceWAL = &instance.WALConfig{Dir: dir, Policy: mode.wal}
-				}
-				eng := service.NewEngine(opts)
-				m := service.NewInstanceManager(eng)
-				defer func() {
-					m.Close()
-					if walDir != "" {
-						os.RemoveAll(walDir)
-					}
-				}()
-				pts := benchPoints(2000)
-				side := math.Sqrt(2000)
-				budget := instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}
-				if _, err := m.Create(context.Background(), "churn", pts, budget); err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(31007))
-				cur := append([]geom.Point(nil), pts...)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					ops := churnBatch(rng, cur, side)
-					b.StartTimer()
-					snap, err := m.Apply(context.Background(), "churn", 0, ops)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
-						b.Fatal(err)
-					}
-					if snap.Repair != mode.want {
-						b.Fatalf("iteration %d served %q, want %q", i, snap.Repair, mode.want)
-					}
-					b.StartTimer()
-				}
-			},
-		})
-	}
-	// Repair-vs-full pairs per repair class (emst = the cover rule, tour =
-	// the bottleneck cycle, bats = the one-wedge regime), at a small and a
-	// beyond-threshold size: the same churn batch served by the class's
-	// incremental repair and, with repair disabled, by a full engine solve.
-	// The -check-repair gate requires the repair side to win above
-	// n=10000. The repair rows tolerate an occasional dirty-threshold or
-	// 2-opt fallback (cheap full solves only *raise* the measured ns/op,
-	// so the gate stays honest) but fail if repairs stop being the norm.
-	repairRows := []struct {
-		class  string
-		budget instance.Budget
-	}{
-		{"emst", instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}},
-		{"tour", instance.Budget{K: 1, Phi: 0, Algo: "tour"}},
-		{"bats", instance.Budget{K: 1, Phi: core.Phi1Full, Algo: "bats"}},
-	}
-	for _, row := range repairRows {
-		for _, n := range []int{2000, 20000} {
-			for _, mode := range []struct {
-				name      string
-				threshold float64
-			}{{"repair", 0}, {"full", -1}} {
-				row, n, mode := row, n, mode
-				benches = append(benches, bench{
-					fmt.Sprintf("BenchmarkRepairScaling/%s/%s/n=%d", row.class, mode.name, n),
-					func(b *testing.B) {
-						eng := service.NewEngine(service.Options{RepairThreshold: mode.threshold})
-						m := service.NewInstanceManager(eng)
-						defer m.Close()
-						pts := benchPoints(n)
-						side := math.Sqrt(float64(n))
-						if _, err := m.Create(context.Background(), "rs", pts, row.budget); err != nil {
-							b.Fatal(err)
-						}
-						rng := rand.New(rand.NewSource(31007))
-						cur := append([]geom.Point(nil), pts...)
-						repaired := 0
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							b.StopTimer()
-							ops := churnBatch(rng, cur, side)
-							b.StartTimer()
-							snap, err := m.Apply(context.Background(), "rs", 0, ops)
-							if err != nil {
-								b.Fatal(err)
-							}
-							b.StopTimer()
-							if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
-								b.Fatal(err)
-							}
-							if snap.Repair == instance.RepairIncremental {
-								repaired++
-							}
-							if mode.threshold < 0 && snap.Repair != instance.RepairFull {
-								b.Fatalf("iteration %d served %q with repair disabled", i, snap.Repair)
-							}
-							b.StartTimer()
-						}
-						if mode.threshold == 0 && repaired*5 < b.N*4 {
-							b.Fatalf("only %d of %d batches repaired incrementally", repaired, b.N)
-						}
-					},
-				})
-			}
-		}
-	}
-	// Crash-recovery replay: one instance at n=2000 with 64 churn
-	// revisions in its write-ahead log, recovered from disk per iteration
-	// — the startup cost a crashed antennad pays per surviving instance.
-	benches = append(benches, bench{
-		"BenchmarkInstanceRecovery/n=2000/revs=64",
-		func(b *testing.B) {
-			dir, err := os.MkdirTemp("", "benchrecover")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			eng := service.NewEngine(service.Options{})
-			cfg := func() instance.Config {
-				return instance.Config{
-					Solve: eng.InstanceSolver(),
-					WAL:   &instance.WALConfig{Dir: dir, Policy: instance.SyncOff, MaxLogBytes: 64 << 20},
-				}
-			}
-			m := instance.NewManager(cfg())
-			pts := benchPoints(2000)
-			side := math.Sqrt(2000)
-			if _, err := m.Create(context.Background(), "churn", pts, instance.Budget{K: 2, Phi: core.Phi2Full, Algo: "cover"}); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(31007))
-			cur := append([]geom.Point(nil), pts...)
-			for r := 0; r < 64; r++ {
-				ops := churnBatch(rng, cur, side)
-				if _, err := m.Apply(context.Background(), "churn", 0, ops); err != nil {
-					b.Fatal(err)
-				}
-				if cur, err = solution.ApplyPointOps(cur, ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := m.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m2 := instance.NewManager(cfg())
-				cnt, err := m2.Recover(context.Background())
-				if err != nil || cnt != 1 {
-					b.Fatalf("recovered %d instances, err %v", cnt, err)
-				}
-				b.StopTimer()
-				m2.Close()
-				b.StartTimer()
-			}
-		},
-	})
-	// One bench per registered orienter at its representative budget: the
-	// portfolio's perf trajectory.
-	for _, o := range core.Orienters() {
-		o := o
-		info := o.Info()
-		benches = append(benches, bench{
-			fmt.Sprintf("BenchmarkOrienter/%s/n=2000", info.Name),
-			func(b *testing.B) {
-				pts := benchPoints(2000)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := o.Orient(pts, info.RepK, info.RepPhi); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		})
-	}
-
-	// Observability substrate: the per-span cost on the two paths every
-	// request-phase site pays (no trace on the context — the benchmark
-	// and batch paths — versus a live trace), and one histogram observe.
-	// These bound the tracing tax the overhead budget test enforces.
-	benches = append(benches,
-		bench{"BenchmarkObsSpan/untraced", func(b *testing.B) {
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, end := obs.StartSpan(ctx, "phase")
-				end()
-			}
-		}},
-		bench{"BenchmarkObsSpan/traced", func(b *testing.B) {
-			tr := obs.NewTrace("bench")
-			ctx := obs.WithTrace(context.Background(), tr)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, end := obs.StartSpan(ctx, "phase")
-				end()
-				if i%4096 == 4095 { // keep the span buffer bounded
-					b.StopTimer()
-					tr = obs.NewTrace("bench")
-					ctx = obs.WithTrace(context.Background(), tr)
-					b.StartTimer()
-				}
-			}
-		}},
-		bench{"BenchmarkHistogramObserve", func(b *testing.B) {
-			h := obs.NewHistogram(obs.LatencyBuckets())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Observe(0.0042)
-			}
-		}},
-	)
-
-	if *only != "" {
-		re, err := regexp.Compile(*only)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: -only:", err)
-			os.Exit(1)
-		}
-		kept := benches[:0]
-		for _, bn := range benches {
-			if re.MatchString(bn.name) {
-				kept = append(kept, bn)
-			}
-		}
-		benches = kept
-		if len(benches) == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: -only %q matches no benchmarks\n", *only)
-			os.Exit(1)
-		}
-	}
-
-	base := Baseline{
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		GoMaxProc: runtime.GOMAXPROCS(0),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, bn := range benches {
-		res := testing.Benchmark(bn.fn)
-		e := Entry{
-			Name:     bn.name,
-			NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N),
-			Iters:    res.N,
-			AllocsOp: res.AllocsPerOp(),
-			BytesOp:  res.AllocedBytesPerOp(),
-		}
-		fmt.Printf("%-42s %12.0f ns/op  %8d iters\n", e.Name, e.NsPerOp, e.Iters)
-		base.Benches = append(base.Benches, e)
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", *out)
 }

@@ -247,27 +247,32 @@ func TestDetach(t *testing.T) {
 	}
 }
 
-func BenchmarkObsSpanTraced(b *testing.B) {
-	tr := NewTrace("bench")
-	ctx := WithTrace(context.Background(), tr)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, end := StartSpan(ctx, "phase")
-		end()
-		// Reset so the span slice doesn't grow without bound.
-		if i%1024 == 1023 {
-			tr.mu.Lock()
-			tr.spans = tr.spans[:0]
-			tr.mu.Unlock()
+// BenchmarkObsSpan prices one span on the two paths every request-phase
+// site pays: no trace on the context (the benchmark and batch paths)
+// versus a live trace. Together with BenchmarkHistogramObserve these
+// bound the tracing tax the overhead budget test enforces.
+func BenchmarkObsSpan(b *testing.B) {
+	b.Run("untraced", func(b *testing.B) {
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, end := StartSpan(ctx, "phase")
+			end()
 		}
-	}
-}
-
-func BenchmarkObsSpanUntraced(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, end := StartSpan(ctx, "phase")
-		end()
-	}
+	})
+	b.Run("traced", func(b *testing.B) {
+		tr := NewTrace("bench")
+		ctx := WithTrace(context.Background(), tr)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, end := StartSpan(ctx, "phase")
+			end()
+			// Reset so the span slice doesn't grow without bound.
+			if i%1024 == 1023 {
+				tr.mu.Lock()
+				tr.spans = tr.spans[:0]
+				tr.mu.Unlock()
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -183,6 +184,12 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	req.Header.Set("X-Trace-Id", "ring-probe")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The middleware records the trace in a deferred call, and the body
+	// reaches EOF only after the handler has returned: drain it so the
+	// ring read below cannot overtake the Record.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
