@@ -124,8 +124,8 @@ func TestAdversarialVerifiedSolve(t *testing.T) {
 // TestAdversarialParallelBuildDeterminism pins what determinism means on
 // tie-raddled input at sizes that cross the parallel cutoff. A lattice's
 // Delaunay triangulation is NOT unique (every unit square is cocircular,
-// so either diagonal is valid), and the serial insertion loop and the
-// chunked parallel merge legitimately resolve those ties differently.
+// so either diagonal is valid), and the serial and round schedules
+// legitimately resolve those ties differently.
 // What must hold: the parallel path is byte-identical across worker
 // counts and repeated runs, every variant validates, and the triangle and
 // edge counts agree — Euler's formula fixes both (2n-2-h and 3n-3-h)

@@ -73,15 +73,8 @@ type mesh struct {
 	tv   []int32
 	tn   []int32
 	dead []bool
-	free []int32
 
 	hint int32 // alive triangle where the next walk starts
-
-	// Reusable per-insertion scratch.
-	isBad    []bool
-	badList  []int32
-	boundary []bedge
-	newTris  []int32
 }
 
 // bedge is one directed edge (a→b) of the cavity boundary, with the
@@ -91,35 +84,17 @@ type bedge struct {
 	outer int32
 }
 
-func (m *mesh) newTri(a, b, c int32) int32 {
-	var t int32
-	if k := len(m.free); k > 0 {
-		t = m.free[k-1]
-		m.free = m.free[:k-1]
-		m.dead[t] = false
-	} else {
-		t = int32(len(m.dead))
-		m.tv = append(m.tv, 0, 0, 0)
-		m.tn = append(m.tn, 0, 0, 0)
-		m.dead = append(m.dead, false)
-		m.isBad = append(m.isBad, false)
-	}
-	m.tv[3*t], m.tv[3*t+1], m.tv[3*t+2] = a, b, c
-	m.tn[3*t], m.tn[3*t+1], m.tn[3*t+2] = -1, -1, -1
-	return t
-}
-
 // growSlots appends k dead slots to the mesh arrays and returns the
-// first new slot index. The parallel commit phase pre-assigns slots from
-// this block instead of drawing from the free list, so the arrays never
-// reallocate while commits are in flight.
+// first new slot index. Slots are never freed: a fan reuses its cavity's
+// slots plus two fresh ones, so the round schedule can pre-grow a whole
+// wave's fresh slots and the arrays never reallocate while commits are in
+// flight.
 func (m *mesh) growSlots(k int) int32 {
 	base := int32(len(m.dead))
 	for i := 0; i < k; i++ {
 		m.tv = append(m.tv, 0, 0, 0)
 		m.tn = append(m.tn, -1, -1, -1)
 		m.dead = append(m.dead, true)
-		m.isBad = append(m.isBad, false)
 	}
 	return base
 }
@@ -129,14 +104,12 @@ func (m *mesh) incircle(t int32, p geom.Point) bool {
 	return circumcircleContains(m.all[m.tv[base]], m.all[m.tv[base+1]], m.all[m.tv[base+2]], p)
 }
 
-// locate walks from the hint triangle towards p, crossing at each step the
+// locateFrom walks from triangle t towards p, crossing at each step the
 // edge p lies strictly to the right of (the most violated one, which keeps
 // the walk from cycling on degenerate inputs). It returns a triangle whose
-// closed interior contains p, or -1 when even the fallback scan fails.
-func (m *mesh) locate(p geom.Point) int32 { return m.locateFrom(p, m.hint) }
-
-// locateFrom is locate with an explicit start triangle; it reads the mesh
-// but never mutates it, so concurrent walks over a frozen mesh are safe.
+// closed interior contains p, or -1 when even the fallback scan fails. It
+// reads the mesh but never mutates it, so concurrent walks over a frozen
+// mesh are safe.
 func (m *mesh) locateFrom(p geom.Point, t int32) int32 {
 	if t < 0 || int(t) >= len(m.dead) || m.dead[t] {
 		t = m.anyAlive()
@@ -201,124 +174,23 @@ func (m *mesh) anyAlive() int32 {
 	return -1
 }
 
-// insert adds point index pi to the mesh. It returns false when the point
-// is degenerate (duplicate, exactly on a circumcircle tie, or numerically
-// inconsistent cavity); the mesh is left untouched in that case and the
-// caller patches connectivity afterwards.
-func (m *mesh) insert(pi int32) bool {
-	p := m.all[pi]
-	t0 := m.locate(p)
-	if t0 < 0 {
-		return false
-	}
-	// Duplicate guard: p coincides with a vertex of its triangle.
-	for i := 0; i < 3; i++ {
-		if m.all[m.tv[3*int(t0)+i]].Dist2(p) <= geom.Eps*geom.Eps {
-			return false
+// insertSerial inserts order one point at a time, each walk starting at
+// the previous fan: evaluate the cavity against the current mesh, then
+// commit the fan into the cavity's own slots plus two fresh ones.
+// Degenerate points (duplicates, exact circumcircle ties, cavities that
+// are not a star-shaped disk) leave the mesh untouched; Build patches
+// their connectivity afterwards.
+func (m *mesh) insertSerial(order []int32, sc *workerScratch) {
+	for _, pi := range order {
+		sc.cav, sc.bnd = sc.cav[:0], sc.bnd[:0]
+		res := m.evaluate(pi, m.hint, sc)
+		if res.action != aCommit {
+			continue
 		}
+		fresh := m.growSlots(2)
+		m.commitCavityAt(pi, res.cavity, res.boundary, fresh)
+		m.hint = fresh + 1 // the fan's last triangle
 	}
-	if !m.incircle(t0, p) {
-		return false // exactly-on-circle tie: skip, patched later
-	}
-
-	// Grow the bad region by BFS over neighbor links.
-	m.badList = m.badList[:0]
-	m.boundary = m.boundary[:0]
-	m.isBad[t0] = true
-	m.badList = append(m.badList, t0)
-	for qi := 0; qi < len(m.badList); qi++ {
-		t := m.badList[qi]
-		base := 3 * int(t)
-		for i := 0; i < 3; i++ {
-			nb := m.tn[base+i]
-			if nb >= 0 {
-				if m.isBad[nb] {
-					continue
-				}
-				if m.incircle(nb, p) {
-					m.isBad[nb] = true
-					m.badList = append(m.badList, nb)
-					continue
-				}
-			}
-			m.boundary = append(m.boundary, bedge{m.tv[base+i], m.tv[base+(i+1)%3], nb})
-		}
-	}
-
-	// The cavity must be a topological disk star-shaped around p: one
-	// simple boundary cycle (unique edge starts, Euler count |∂| = |bad|+2)
-	// with p strictly left of every boundary edge. Anything else is a
-	// floating-point degeneracy; skip the point rather than corrupt the
-	// mesh.
-	ok := cavityIsDisk(m.badList, m.boundary)
-	if ok {
-		for _, e := range m.boundary {
-			if geom.OrientExact(m.all[e.a], m.all[e.b], p) <= 0 {
-				ok = false
-				break
-			}
-		}
-	}
-	for _, t := range m.badList {
-		m.isBad[t] = false
-	}
-	if !ok {
-		return false
-	}
-	m.commitCavity(pi, m.badList, m.boundary)
-	return true
-}
-
-// commitCavity carves the validated cavity and fans it from point pi:
-// kill the bad triangles, create one new triangle per boundary edge,
-// rewire the surviving outer neighbors, and stitch the fan. The caller
-// guarantees the cavity is a star-shaped topological disk around pi.
-func (m *mesh) commitCavity(pi int32, cavity []int32, boundary []bedge) {
-	for _, t := range cavity {
-		m.dead[t] = true
-		m.free = append(m.free, t)
-	}
-	m.newTris = m.newTris[:0]
-	for _, e := range boundary {
-		t := m.newTri(e.a, e.b, pi)
-		m.tn[3*t] = e.outer
-		if e.outer >= 0 {
-			ob := 3 * int(e.outer)
-			for k := 0; k < 3; k++ {
-				if m.tv[ob+k] == e.b && m.tv[ob+(k+1)%3] == e.a {
-					m.tn[ob+k] = t
-					break
-				}
-			}
-		}
-		m.newTris = append(m.newTris, t)
-	}
-	// Stitch the fan: the neighbor of (b, p) in triangle (a, b, p) is the
-	// new triangle whose boundary edge starts at b.
-	if len(boundary) <= 40 {
-		for i, t := range m.newTris {
-			b := boundary[i].b
-			for j := range boundary {
-				if boundary[j].a == b {
-					tj := m.newTris[j]
-					m.tn[3*t+1] = tj
-					m.tn[3*tj+2] = t
-					break
-				}
-			}
-		}
-	} else {
-		startOf := make(map[int32]int32, len(boundary))
-		for j := range boundary {
-			startOf[boundary[j].a] = m.newTris[j]
-		}
-		for i, t := range m.newTris {
-			tj := startOf[boundary[i].b]
-			m.tn[3*t+1] = tj
-			m.tn[3*tj+2] = t
-		}
-	}
-	m.hint = m.newTris[len(m.newTris)-1]
 }
 
 // cavityIsDisk checks that a cavity is a topological disk: one simple
@@ -437,16 +309,17 @@ func Build(pts []geom.Point) (*Triangulation, error) {
 }
 
 // BuildWorkers is Build with an explicit concurrency level. workers <= 1
-// (or inputs below parallelCutoff) runs the plain serial insertion loop;
-// workers > 1 runs batched BRIO rounds under deterministic reservations
-// (see parallel.go). Each path's output depends only on the point set,
-// never on scheduling: triangles are harvested in canonical order and the
-// edge set is canonically sorted, so any workers >= 2 yields identical
-// bytes, as do repeated runs at any fixed workers. For points in general
-// position the serial and parallel paths also agree with each other;
+// (or inputs below parallelCutoff) runs the serial schedule, one point at
+// a time; workers > 1 runs batched BRIO rounds under deterministic
+// reservations (see parallel.go). Both schedules insert through the same
+// evaluate and commitCavityAt. Each schedule's output depends only on the
+// point set, never on timing: triangles are harvested in canonical order
+// and the edge set is canonically sorted, so any workers >= 2 yields
+// identical bytes, as do repeated runs at any fixed workers. For points
+// in general position the two schedules also agree with each other;
 // under exact cocircular ties the Delaunay triangulation is not unique
 // and the two insertion orders may legally pick different diagonals
-// (pinned by TestAdversarialParallelBuildDeterminism).
+// (pinned by TestBuildGolden and TestAdversarialParallelBuildDeterminism).
 func BuildWorkers(pts []geom.Point, workers int) (*Triangulation, error) {
 	n := len(pts)
 	t := &Triangulation{Pts: pts}
@@ -468,20 +341,22 @@ func BuildWorkers(pts []geom.Point, workers int) (*Triangulation, error) {
 	s1 := geom.Point{X: mid.X + 20*span, Y: mid.Y - 10*span}
 	s2 := geom.Point{X: mid.X, Y: mid.Y + 20*span}
 
+	// The super-triangle takes slot 0 and every committed point adds two
+	// slots, so a build never uses more than 2n+1 slots.
+	slots := 2*n + 1
 	m := &mesh{all: append(append(make([]geom.Point, 0, n+3), pts...), s0, s1, s2)}
-	m.tv = make([]int32, 0, 6*n+12)
-	m.tn = make([]int32, 0, 6*n+12)
-	m.dead = make([]bool, 0, 2*n+4)
-	m.isBad = make([]bool, 0, 2*n+4)
-	m.hint = m.newTri(int32(n), int32(n+1), int32(n+2)) // CCW by construction
+	m.tv = make([]int32, 0, 3*slots)
+	m.tn = make([]int32, 0, 3*slots)
+	m.dead = make([]bool, 0, slots)
+	m.hint = m.growSlots(1)
+	m.dead[0] = false
+	m.tv[0], m.tv[1], m.tv[2] = int32(n), int32(n+1), int32(n+2) // CCW by construction
 
 	order, roundEnds := insertionOrder(pts, min, max, workers)
 	if workers > 1 && n >= parallelCutoff {
-		m.insertParallel(order, roundEnds, workers)
+		m.insertParallel(order, roundEnds, workers, slots)
 	} else {
-		for _, pi := range order {
-			m.insert(pi)
-		}
+		m.insertSerial(order, newWorkerScratch(slots))
 	}
 
 	keys := m.harvest(t, workers)

@@ -7,10 +7,10 @@
 //	  runs the cavity BFS read-only with per-worker scratch, and
 //	  reserves its footprint — cavity triangles plus the surviving ring
 //	  across the boundary — by an atomic min-CAS of its priority.
-//	Phase B/C (serial, priority order): a point that holds every
-//	  reservation in its footprint is a winner; winners commit through
-//	  the same commitCavity as the serial loop. Losers retry in the
-//	  next sub-round against the updated mesh.
+//	Phase B/C: a point that holds every reservation in its footprint is
+//	  a winner; winners commit concurrently through the same
+//	  commitCavityAt as the serial schedule. Losers retry in the next
+//	  sub-round against the updated mesh.
 //
 // Priorities are a fixed bijective scramble of the BRIO positions.
 // Points are evaluated in Morton order (so hint-chained walks stay
@@ -24,12 +24,13 @@
 // predicates make the triangulation of a general-position point set
 // unique regardless of insertion order. Together with the canonical
 // harvest in Build this pins the parallel output byte-identical to the
-// serial loop for any point set without exact degeneracies; inputs WITH
+// serial schedule for any point set without exact degeneracies; inputs WITH
 // them (duplicate points, cocircular ties) still build correctly and
 // deterministically for every workers >= 2 — every scheduling input
 // (chunk bounds, hints, winner sets, commit order) is data-derived — but
 // may resolve a degenerate pair in a different order than the serial
-// loop, which is why the adversarial suites pin those inputs per path.
+// schedule, which is why TestBuildGolden and the adversarial suites pin
+// those inputs per schedule.
 package delaunay
 
 import (
@@ -43,7 +44,7 @@ import (
 
 // Tuning knobs for the concurrent build.
 const (
-	parallelCutoff = 4096 // below this many points the serial loop wins
+	parallelCutoff = 4096 // below this many points the serial schedule wins
 	serialPrefix   = 2048 // rounds this early stay serial: the mesh is tiny and everything conflicts
 	minParRound    = 512  // rounds smaller than this stay serial
 	// stratStride interleaves a round into residue classes: concurrent
@@ -78,8 +79,9 @@ func scramble(pos int32) int64 {
 	return int64(bits.Reverse32(uint32(pos) + 0x9e3779b9))
 }
 
-// pevalRes is one point's phase-A evaluation. cavity and boundary alias
-// per-worker arenas and are valid until the arenas reset next sub-round.
+// pevalRes is one point's evaluation. cavity and boundary alias the
+// worker's arenas and are valid until the arenas reset (next sub-round,
+// or next point on the serial schedule).
 type pevalRes struct {
 	action   uint8
 	located  int32
@@ -88,14 +90,19 @@ type pevalRes struct {
 }
 
 // workerScratch is the per-worker evaluation state: an epoch-stamped
-// visited array replacing mesh.isBad (workers cannot share it), and
-// append arenas backing the cavity/boundary slices of this sub-round's
-// results.
+// visited array over mesh slots (so concurrent BFSs never share marks),
+// and append arenas backing the cavity/boundary slices of the results.
 type workerScratch struct {
 	visit []int32
 	epoch int32
 	cav   []int32
 	bnd   []bedge
+}
+
+// newWorkerScratch sizes the visited array for a mesh of at most slots
+// slots, so evaluate never has to grow it.
+func newWorkerScratch(slots int) *workerScratch {
+	return &workerScratch{visit: make([]int32, slots)}
 }
 
 // parState carries the reusable buffers of one parallel build.
@@ -116,24 +123,23 @@ type parState struct {
 	flags   []bool  // per result: owns its whole footprint
 }
 
-func newParState(workers int) *parState {
+func newParState(workers, slots int) *parState {
 	ps := &parState{workers: workers}
 	for i := 0; i < workers; i++ {
-		ps.scratch = append(ps.scratch, &workerScratch{epoch: 0})
+		ps.scratch = append(ps.scratch, newWorkerScratch(slots))
 	}
 	return ps
 }
 
-// insertParallel inserts order[done:] with concurrent sub-rounds, keeping
-// early and undersized rounds on the serial loop.
-func (m *mesh) insertParallel(order []int32, roundEnds []int, workers int) {
-	ps := newParState(workers)
+// insertParallel inserts order with concurrent sub-rounds, keeping early
+// and undersized rounds on the serial schedule.
+func (m *mesh) insertParallel(order []int32, roundEnds []int, workers, slots int) {
+	ps := newParState(workers, slots)
 	done := 0
 	for _, end := range roundEnds {
 		if end <= serialPrefix || end-done < minParRound {
-			for ; done < end; done++ {
-				m.insert(order[done])
-			}
+			m.insertSerial(order[done:end], ps.scratch[0])
+			done = end
 			continue
 		}
 		m.resolveRound(order, done, end, ps)
@@ -278,9 +284,6 @@ func (m *mesh) resolveRound(order []int32, lo, hi int, ps *parState) {
 			ps.owner = append(ps.owner, 0)
 		}
 		for _, sc := range ps.scratch {
-			for len(sc.visit) < nslots {
-				sc.visit = append(sc.visit, 0)
-			}
 			sc.cav = sc.cav[:0]
 			sc.bnd = sc.bnd[:0]
 		}
@@ -307,7 +310,7 @@ func (m *mesh) resolveRound(order []int32, lo, hi int, ps *parState) {
 		// losers in place (the inactive tail shifts up behind them);
 		// winners with a validated cavity queue for the commit phase,
 		// the rest finalize without touching the mesh, exactly as the
-		// serial loop's early returns do. The filter recycles unres in
+		// serial schedule skips them. The filter recycles unres in
 		// place, so winners capture their BRIO positions now.
 		nu, nh := unres[:0], hints[:0]
 		winners, wpos := ps.winners[:0], ps.wpos[:0]
@@ -336,7 +339,7 @@ func (m *mesh) resolveRound(order []int32, lo, hi int, ps *parState) {
 
 		if len(winners) > 0 {
 			for i, pos := range wpos {
-				// The fan's last new triangle, matching the serial hint.
+				// The fan's last new triangle, as on the serial schedule.
 				resTri[pos-int32(lo)] = wv.fresh + 2*int32(i) + 1
 			}
 			m.hint = wv.fresh + 2*int32(len(winners)) - 1
@@ -449,9 +452,12 @@ func (m *mesh) phaseC(wv *wave, ps *parState) {
 	}
 }
 
-// evaluate runs the read-only first half of insert for point pi against
-// the frozen mesh: locate, duplicate guard, incircle gate, cavity BFS,
-// and the star-shaped-disk validity checks. It mutates only sc.
+// evaluate computes point pi's Bowyer–Watson cavity against the current
+// mesh, walking from start: locate, duplicate guard, incircle gate,
+// cavity BFS, and the star-shaped-disk validity checks (one simple
+// boundary cycle with p strictly left of every boundary edge; anything
+// else is a floating-point degeneracy, and the point is skipped rather
+// than corrupt the mesh). It mutates only sc.
 func (m *mesh) evaluate(pi int32, start int32, sc *workerScratch) pevalRes {
 	p := m.all[pi]
 	t0 := m.locateFrom(p, start)
@@ -501,12 +507,14 @@ func (m *mesh) evaluate(pi int32, start int32, sc *workerScratch) pevalRes {
 	return res
 }
 
-// commitCavityAt is commitCavity with a pre-assigned slot set: the fan's
-// i-th new triangle takes the winner's own i-th cavity slot, spilling
-// into two fresh slots at fresh (a disk cavity has exactly |cavity|+2
-// boundary edges). It touches neither the shared free list nor the walk
-// hint, and all its writes land in the winner's footprint or its fresh
-// pair, so disjoint winners commit concurrently without synchronization.
+// commitCavityAt carves a validated cavity and fans it from point pi:
+// the fan's i-th new triangle takes the cavity's own i-th slot, spilling
+// into the two fresh slots at fresh (a disk cavity has exactly
+// |cavity|+2 boundary edges), then the surviving outer neighbors are
+// rewired and the fan stitched. It leaves the walk hint alone, and all
+// its writes land in the cavity's footprint or its fresh pair, so
+// disjoint winners of a round commit concurrently without
+// synchronization. The fan's last triangle is fresh+1.
 func (m *mesh) commitCavityAt(pi int32, cavity []int32, boundary []bedge, fresh int32) {
 	nc := int32(len(cavity))
 	slot := func(i int32) int32 {

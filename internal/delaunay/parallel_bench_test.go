@@ -22,8 +22,8 @@ func benchPoints(n int) []geom.Point {
 
 // BenchmarkBuildWorkers pins the serial-vs-parallel build comparison the
 // CI multicore smoke job reads the speedup criterion from. workers=1 is
-// the plain serial insertion loop; the parallel entries only beat it when
-// GOMAXPROCS grants them real processors.
+// the serial schedule; the round schedule only beats it when GOMAXPROCS
+// grants it enough real processors (it loses at workers=2 on two).
 func BenchmarkBuildWorkers(b *testing.B) {
 	for _, n := range []int{100_000} {
 		pts := benchPoints(n)

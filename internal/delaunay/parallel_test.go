@@ -8,8 +8,8 @@ import (
 	"repro/internal/pointset"
 )
 
-// TestParallelMatchesSerial pins the parallel build byte-identical to the
-// serial insertion loop across the generator families, at a size above
+// TestParallelMatchesSerial pins the round schedule byte-identical to the
+// serial schedule across the generator families, at a size above
 // the parallel cutoff and at several worker counts.
 func TestParallelMatchesSerial(t *testing.T) {
 	n := parallelCutoff + 1500

@@ -105,7 +105,7 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		{"antennad_instance_wal_recovery_failures_total", "instance directories that failed to recover", mm.WALRecoveryFailures.Load()},
 	}
 	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v); err != nil {
+		if err := obs.WriteScalar(w, c.name, c.help, "counter", c.v); err != nil {
 			return err
 		}
 	}
@@ -124,7 +124,7 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		{"antennad_verify_incremental_divergence_total", "audits whose from-scratch verdict diverged from the maintained one", mm.VerifyAuditDivergence.Load()},
 	}
 	for _, c := range verifyCounters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v); err != nil {
+		if err := obs.WriteScalar(w, c.name, c.help, "counter", c.v); err != nil {
 			return err
 		}
 	}
@@ -141,7 +141,7 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	instances := m.List()
-	if _, err := fmt.Fprintf(w, "# HELP antennad_instances live instances\n# TYPE antennad_instances gauge\nantennad_instances %d\n", len(instances)); err != nil {
+	if err := obs.WriteScalar(w, "antennad_instances", "live instances", "gauge", uint64(len(instances))); err != nil {
 		return err
 	}
 	// Per-instance labeled families: one HELP/TYPE block per family,

@@ -87,6 +87,13 @@ func (h *Histogram) Write(w io.Writer, name, help string) error {
 	return s.Write(w, name, help)
 }
 
+// WriteScalar renders one unlabeled sample of a counter or gauge family
+// (kind) in Prometheus text format with HELP and TYPE lines.
+func WriteScalar(w io.Writer, name, help, kind string, v uint64) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, kind, name, v)
+	return err
+}
+
 // HistogramSnapshot is a point-in-time copy of a histogram, used for
 // fleet report summaries and quantile estimation.
 type HistogramSnapshot struct {

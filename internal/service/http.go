@@ -514,11 +514,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	draining := 0
+	var draining uint64
 	if s.draining.Load() {
 		draining = 1
 	}
-	_, _ = fmt.Fprintf(w, "# HELP antennad_draining whether the server is refusing new work ahead of shutdown\n# TYPE antennad_draining gauge\nantennad_draining %d\n", draining)
+	_ = obs.WriteScalar(w, "antennad_draining", "whether the server is refusing new work ahead of shutdown", "gauge", draining)
 	_ = s.eng.WriteMetrics(w)
 	_ = s.instances.WriteMetrics(w)
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -94,7 +93,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		)
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", r.name, r.help, r.name, r.kind, r.name, r.value); err != nil {
+		if err := obs.WriteScalar(w, r.name, r.help, r.kind, r.value); err != nil {
 			return err
 		}
 	}
