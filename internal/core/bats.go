@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/antenna"
@@ -34,7 +35,8 @@ import (
 // OrientBoundedAngleTree orients one antenna of spread at most φ per
 // sensor (φ ≥ π) so that the bidirectional links alone connect the
 // network. See the package comment above for the construction.
-func OrientBoundedAngleTree(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
+func OrientBoundedAngleTree(tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	res := newResult("bats", k, phi)
 	res.Bound = batsStretch(phi)
 	res.Guarantee = res.Bound
@@ -44,7 +46,6 @@ func OrientBoundedAngleTree(pts []geom.Point, k int, phi float64) (*antenna.Assi
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 
 	// One geom arena serves every per-vertex gap computation below; the
@@ -163,8 +164,8 @@ func init() {
 		guarantee: func(k int, phi float64) Guarantee {
 			return Guarantee{Conn: ConnSymmetric, Stretch: batsStretch(phi), Antennae: 1, Spread: phi, StrongC: 1}
 		},
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientBoundedAngleTree(pts, k, phi)
+		orient: func(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+			asg, res := OrientBoundedAngleTree(tree, k, phi)
 			return asg, res, nil
 		},
 	})

@@ -227,8 +227,9 @@ func TestOrientTourRows(t *testing.T) {
 	for k := 1; k <= 2; k++ {
 		for trial := 0; trial < 10; trial++ {
 			pts := workload(rng, trial, 40+rng.Intn(80))
-			tour, bn := BestTour(pts)
-			asg, res := OrientTour(pts, tour, k, 0)
+			tree := mst.Euclidean(pts)
+			tour, bn := BestTour(tree)
+			asg, res := OrientTour(tree, tour, k, 0)
 			if len(res.Violations) != 0 {
 				t.Fatalf("violations: %v", res.Violations)
 			}
@@ -251,7 +252,7 @@ func TestBestTourQuality(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		pts := pointset.Uniform(rng, 80, 10)
 		tree := mst.Euclidean(pts)
-		_, bn := BestTour(pts)
+		_, bn := BestTour(tree)
 		if bn > 2*tree.LMax()+1e-9 {
 			exceeded++
 		}
@@ -265,11 +266,11 @@ func TestBestTourQuality(t *testing.T) {
 }
 
 func TestBestTourTiny(t *testing.T) {
-	if tour, _ := BestTour(nil); tour != nil {
+	if tour, _ := BestTour(mst.Euclidean(nil)); tour != nil {
 		t.Fatal("empty best tour")
 	}
 	pts := pointset.Uniform(rand.New(rand.NewSource(2)), 7, 3)
-	tour, bn := BestTour(pts)
+	tour, bn := BestTour(mst.Euclidean(pts))
 	if !isPermutation(tour, 7) {
 		t.Fatal("tiny best tour not a permutation")
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 func cancelTestPoints(n int) []geom.Point {
@@ -99,7 +100,8 @@ func TestTourOrienterHonorsDeadline(t *testing.T) {
 	if !ok {
 		t.Fatal("tour orienter not registered")
 	}
-	_, _, err := o.OrientCtx(expireCtx(t), cancelTestPoints(600), 1, 0)
+	tree := mst.Euclidean(cancelTestPoints(600))
+	_, _, err := o.OrientCtx(expireCtx(t), tree, 1, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -112,10 +114,10 @@ func TestOrientCtxDispatcherCancel(t *testing.T) {
 	pts := cancelTestPoints(300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := OrientCtx(ctx, pts, 2, 0); !errors.Is(err, context.Canceled) {
+	if _, _, err := OrientCtx(ctx, mst.Euclidean(pts), 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("tour arm err = %v, want context.Canceled", err)
 	}
-	if _, _, err := OrientCtx(ctx, pts, 2, math.Pi); !errors.Is(err, context.Canceled) {
+	if _, _, err := OrientCtx(ctx, mst.Euclidean(pts), 2, math.Pi); !errors.Is(err, context.Canceled) {
 		t.Fatalf("non-tour arm must still refuse an expired context up front, got %v", err)
 	}
 	// The plain entry point is unaffected.

@@ -44,7 +44,8 @@ type k1ctx struct {
 //     block of width < 2π − φ beside the anchor, so anchor → x₁ → … → x_m
 //     chains them with hops ≤ 2·sin((2π−φ)/2) = 2·sin(π − φ/2) · l_max,
 //     and x_m covers u.
-func OrientOneAntenna(pts []geom.Point, phi float64) (*antenna.Assignment, *Result) {
+func OrientOneAntenna(tree *mst.Tree, phi float64) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	res := newResult("k1-anchored-arc", 1, phi)
 	asg := antenna.New(pts)
 	res.checkf(phi >= math.Pi-geom.AngleEps, "phi %.6f < π not supported by the k=1 induction", phi)
@@ -52,7 +53,6 @@ func OrientOneAntenna(pts []geom.Point, phi float64) (*antenna.Assignment, *Resu
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	rooted, err := mst.RootAtLeaf(tree)
 	if err != nil {

@@ -7,12 +7,14 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // Orient selects and runs the strongest applicable Table-1 algorithm for k
 // antennae per sensor with total spread budget phi (radians). It returns
 // the antenna assignment and the algorithm's self-report; use package
-// verify for independent ground truth.
+// verify for independent ground truth. Orient builds the EMST of pts;
+// a caller that already holds it calls OrientCtx.
 //
 // Dispatch mirrors Table 1:
 //
@@ -24,15 +26,16 @@ import (
 //	k=4: φ ≥ 2π/5 → Theorem 2 (r=1);  else Theorem 6 (r ≤ √2).
 //	k≥5: bidirected MST (r=1).
 func Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	return OrientCtx(context.Background(), pts, k, phi)
+	return OrientCtx(context.Background(), mst.Euclidean(pts), k, phi)
 }
 
-// OrientCtx is Orient under a context: the dispatch arms with internal
-// cancellation checkpoints (today the bottleneck-tour rows, whose 2-opt
-// repair dominates at large n) abandon the solve with ctx.Err() once the
-// context is done; the remaining arms run to completion and the context
-// is honored between phases by the caller.
-func OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
+// OrientCtx is Orient on tree, the EMST of the points tree.Pts, under a
+// context: the dispatch arms with internal cancellation checkpoints
+// (today the bottleneck-tour rows, whose 2-opt repair dominates at large
+// n) abandon the solve with ctx.Err() once the context is done; the
+// remaining arms run to completion and the context is honored between
+// phases by the caller.
+func OrientCtx(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k must be ≥ 1, got %d", k)
 	}
@@ -45,12 +48,7 @@ func OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*ante
 	// The branch table couples each construction with the guarantee it
 	// provides (see dispatchBranches); dispatchGuarantee reads the same
 	// table, so claim and construction cannot diverge.
-	b := dispatchBranchFor(k, phi)
-	if b.runCtx != nil {
-		return b.runCtx(ctx, pts, k, phi)
-	}
-	asg, res := b.run(pts, k, phi)
-	return asg, res, nil
+	return dispatchBranchFor(k, phi).run(ctx, tree, k, phi)
 }
 
 // RowSpec describes one row of the paper's Table 1 for the reproduction

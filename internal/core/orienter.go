@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
+	"repro/internal/mst"
 )
 
 // Connectivity is the kind of connectivity an orienter promises for the
@@ -67,17 +68,23 @@ type Orienter interface {
 	// Guarantee returns the promise for (k, φ); ok is false outside the
 	// supported region.
 	Guarantee(k int, phi float64) (Guarantee, bool)
-	// Orient runs the construction. Callers must not rely on the
-	// self-reported Result for correctness — use package verify.
+	// Orient builds the EMST of pts and runs OrientCtx on it without a
+	// deadline. Callers must not rely on the self-reported Result for
+	// correctness — use package verify.
 	Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
-	// OrientCtx is Orient under a context: an already-done context is
-	// refused up front, and constructions with cancellation checkpoints
-	// abandon the solve with ctx.Err() at the next one instead of burning
-	// the abandoned computation to completion. Orientation is pure CPU
-	// work, so checkpoint granularity is per-construction — today the tour
-	// 2-opt repair loop (the long pole at large n) polls every few accepted
-	// moves; the other constructions run to completion once started.
-	OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
+	// OrientCtx runs the construction on tree, the max-degree-5 EMST of
+	// the points tree.Pts (mst.Euclidean). Every construction starts from
+	// that tree, so a caller builds it once and shares it: the engine
+	// hands one tree to the orienter or to every race candidate at once,
+	// and constructions only read it. An already-done context is refused
+	// up front, and constructions with cancellation checkpoints abandon
+	// the solve with ctx.Err() at the next one instead of burning the
+	// abandoned computation to completion. Orientation is pure CPU work,
+	// so checkpoint granularity is per-construction — today the tour
+	// 2-opt repair loop (the long pole at large n) polls every few
+	// accepted moves; the other constructions run to completion once
+	// started.
+	OrientCtx(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error)
 }
 
 // DefaultOrienterName selects the paper's Table-1 dispatcher.
@@ -155,15 +162,12 @@ func Orienters() []Orienter {
 }
 
 // funcOrienter adapts plain functions to the Orienter interface; every
-// built-in construction registers through it. Constructions with
-// cancellation checkpoints set orientCtx as well, which OrientCtx then
-// runs instead of orient.
+// built-in construction registers through it.
 type funcOrienter struct {
 	info      OrienterInfo
 	supports  func(k int, phi float64) bool
 	guarantee func(k int, phi float64) Guarantee
-	orient    func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
-	orientCtx func(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
+	orient    func(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error)
 }
 
 func (f *funcOrienter) Info() OrienterInfo { return f.info }
@@ -183,26 +187,17 @@ func (f *funcOrienter) Guarantee(k int, phi float64) (Guarantee, bool) {
 }
 
 func (f *funcOrienter) Orient(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	if !f.Supports(k, phi) {
-		return nil, nil, fmt.Errorf("core: orienter %q does not support k=%d phi=%.6f", f.info.Name, k, phi)
-	}
-	return f.orient(pts, k, phi)
+	return f.OrientCtx(context.Background(), mst.Euclidean(pts), k, phi)
 }
 
-// OrientCtx runs the construction under a context when it has internal
-// checkpoints, falling back to the plain construction otherwise (the
-// context is then honored only by the caller between phases).
-func (f *funcOrienter) OrientCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
+func (f *funcOrienter) OrientCtx(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
 	if !f.Supports(k, phi) {
 		return nil, nil, fmt.Errorf("core: orienter %q does not support k=%d phi=%.6f", f.info.Name, k, phi)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if f.orientCtx != nil {
-		return f.orientCtx(ctx, pts, k, phi)
-	}
-	return f.orient(pts, k, phi)
+	return f.orient(ctx, tree, k, phi)
 }
 
 // tourStretch is the proven bottleneck of the constructive tour: hops in
@@ -212,13 +207,11 @@ const tourStretch = 3
 // table1Branch couples one arm of the Table-1 dispatcher with the
 // guarantee that arm provides, so the construction Orient runs and the
 // claim dispatchGuarantee declares can never diverge. repair names the
-// arm's incremental-repair class (see RepairClass); runCtx, when set,
-// is the construction with cancellation checkpoints.
+// arm's incremental-repair class (see RepairClass).
 type table1Branch struct {
 	matches   func(k int, phi float64) bool
 	guarantee func(k int, phi float64) Guarantee
-	run       func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result)
-	runCtx    func(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error)
+	run       func(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error)
 	repair    string
 }
 
@@ -231,23 +224,23 @@ var dispatchBranches = []table1Branch{
 			return k >= 5 || phi >= theorem2Threshold(k)-geom.AngleEps
 		},
 		guarantee: coverGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientFullCover(pts, k, phi, false)
-		},
-		repair: RepairClassEMST,
+		run:       runCover,
+		repair:    RepairClassEMST,
 	},
 	{ // Theorem 6: four zero-spread chains.
 		matches:   func(k int, phi float64) bool { return k == 4 },
 		guarantee: chainsGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientFourAntennae(pts, phi)
+		run: func(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+			asg, res := OrientFourAntennae(tree, phi)
+			return asg, res, nil
 		},
 	},
 	{ // Theorem 5: three zero-spread chains.
 		matches:   func(k int, phi float64) bool { return k == 3 },
 		guarantee: chainsGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientThreeAntennae(pts, phi)
+		run: func(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+			asg, res := OrientThreeAntennae(tree, phi)
+			return asg, res, nil
 		},
 	},
 	{ // Theorem 3 (both parts).
@@ -256,22 +249,20 @@ var dispatchBranches = []table1Branch{
 			s, _ := Bound(2, phi)
 			return Guarantee{Conn: ConnStrong, Stretch: s, Antennae: 2, Spread: phi, StrongC: 1}
 		},
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientTwoAntennae(pts, phi)
+		run: func(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+			asg, res := OrientTwoAntennae(tree, phi)
+			return asg, res, nil
 		},
 	},
 	{ // The [4] anchored arc.
 		matches:   func(k int, phi float64) bool { return k == 1 && phi >= math.Pi-geom.AngleEps },
 		guarantee: arcGuarantee,
-		run: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-			return OrientOneAntenna(pts, phi)
-		},
+		run:       runArc,
 	},
 	{ // φ too small for the inductions: the bottleneck-tour rows.
 		matches:   func(k int, phi float64) bool { return true },
 		guarantee: tourGuarantee,
 		run:       runTour,
-		runCtx:    runTourCtx,
 		repair:    RepairClassTour,
 	},
 }
@@ -382,22 +373,28 @@ func tourGuarantee(k int, phi float64) Guarantee {
 	return g
 }
 
-// runTour is the shared tour construction behind the dispatcher's
-// fallback branch and the registered "tour" orienter.
-func runTour(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result) {
-	asg, res, _ := runTourCtx(context.Background(), pts, k, phi)
-	return asg, res
+// runCover, runArc and runTour are the constructions the Table-1
+// dispatcher's arms share with the registered "cover", "k1" and "tour"
+// orienters.
+func runCover(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+	asg, res := OrientFullCover(tree, k, phi, false)
+	return asg, res, nil
 }
 
-// runTourCtx is runTour with the solve's context threaded into the 2-opt
-// repair loop: an expired request stops the optimization at the next
-// checkpoint instead of burning the abandoned solve to completion.
-func runTourCtx(ctx context.Context, pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-	tour, _, err := BestTourCtx(ctx, pts)
+func runArc(_ context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+	asg, res := OrientOneAntenna(tree, phi)
+	return asg, res, nil
+}
+
+// runTour threads the solve's context into the 2-opt repair loop: an
+// expired request stops the optimization at the next checkpoint instead
+// of burning the abandoned solve to completion.
+func runTour(ctx context.Context, tree *mst.Tree, k int, phi float64) (*antenna.Assignment, *Result, error) {
+	tour, _, err := BestTourCtx(ctx, tree)
 	if err != nil {
 		return nil, nil, err
 	}
-	asg, res := OrientTour(pts, tour, k, phi)
+	asg, res := OrientTour(tree, tour, k, phi)
 	res.Bound = tourStretch
 	res.Guarantee = tourStretch
 	return asg, res, nil
@@ -415,8 +412,7 @@ func init() {
 		},
 		supports:  func(k int, phi float64) bool { return true },
 		guarantee: dispatchGuarantee,
-		orient:    Orient,
-		orientCtx: OrientCtx,
+		orient:    OrientCtx,
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -432,10 +428,7 @@ func init() {
 			return phi >= theorem2Threshold(k)-geom.AngleEps
 		},
 		guarantee: coverGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientFullCover(pts, k, phi, false)
-			return asg, res, nil
-		},
+		orient:    runCover,
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -451,10 +444,7 @@ func init() {
 			return phi >= math.Pi-geom.AngleEps
 		},
 		guarantee: arcGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := OrientOneAntenna(pts, phi)
-			return asg, res, nil
-		},
+		orient:    runArc,
 	})
 
 	RegisterOrienter(&funcOrienter{
@@ -468,10 +458,6 @@ func init() {
 		},
 		supports:  func(k int, phi float64) bool { return true },
 		guarantee: tourGuarantee,
-		orient: func(pts []geom.Point, k int, phi float64) (*antenna.Assignment, *Result, error) {
-			asg, res := runTour(pts, k, phi)
-			return asg, res, nil
-		},
-		orientCtx: runTourCtx,
+		orient:    runTour,
 	})
 }

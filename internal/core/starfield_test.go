@@ -65,15 +65,15 @@ func TestTheorem56OnStarFields(t *testing.T) {
 	counts5 := map[string]int{}
 	counts6 := map[string]int{}
 	for seed := int64(0); seed < 25; seed++ {
-		pts := starFieldForTest(seed)
-		_, res5 := OrientThreeAntennae(pts, 0)
+		tree := mst.Euclidean(starFieldForTest(seed))
+		_, res5 := OrientThreeAntennae(tree, 0)
 		if len(res5.Violations) != 0 {
 			t.Fatalf("seed %d: theorem 5: %v", seed, res5.Violations[0])
 		}
 		for c, n := range res5.Cases {
 			counts5[c] += n
 		}
-		_, res6 := OrientFourAntennae(pts, 0)
+		_, res6 := OrientFourAntennae(tree, 0)
 		if len(res6.Violations) != 0 {
 			t.Fatalf("seed %d: theorem 6: %v", seed, res6.Violations[0])
 		}
@@ -106,7 +106,7 @@ func TestNestedStarShape(t *testing.T) {
 		// The orientation must still work whatever degree profile the
 		// nested construction produced.
 		for _, phi := range []float64{math.Pi, 0.75 * math.Pi} {
-			asg, res := OrientTwoAntennae(pts, phi)
+			asg, res := OrientTwoAntennae(tree, phi)
 			if len(res.Violations) != 0 {
 				t.Fatalf("seed %d: %v", seed, res.Violations[0])
 			}

@@ -22,7 +22,8 @@ import (
 // connected. The case analysis follows the paper's Figures 3 (part 1) and
 // 4 (part 2) exactly; every angular inequality the proof relies on is
 // checked at runtime and recorded as a violation if it fails.
-func OrientTwoAntennae(pts []geom.Point, phi float64) (*antenna.Assignment, *Result) {
+func OrientTwoAntennae(tree *mst.Tree, phi float64) (*antenna.Assignment, *Result) {
+	pts := tree.Pts
 	part1 := phi >= math.Pi-geom.AngleEps
 	name := "theorem3-part2"
 	if part1 {
@@ -35,7 +36,6 @@ func OrientTwoAntennae(pts []geom.Point, phi float64) (*antenna.Assignment, *Res
 		res.bump("trivial")
 		return asg, res
 	}
-	tree := mst.Euclidean(pts)
 	res.LMax = tree.LMax()
 	rooted, err := mst.RootAtLeaf(tree)
 	if err != nil {

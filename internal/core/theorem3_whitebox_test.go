@@ -262,7 +262,7 @@ func TestStarFieldIntegration(t *testing.T) {
 		}
 		for _, phiFrac := range []float64{1.0, 0.8} {
 			phi := phiFrac * math.Pi
-			asg, res := OrientTwoAntennae(pts, phi)
+			asg, res := OrientTwoAntennae(tree, phi)
 			if len(res.Violations) != 0 {
 				t.Fatalf("seed %d phi %.2f: %v", seed, phi, res.Violations[0])
 			}

@@ -27,7 +27,7 @@ func Figure(w io.Writer, num int, seed int64) (string, error) {
 		// Example vertex with d = 5 (Lemma 1): the regular 5-gon star,
 		// covered with k = 2 antennae at the optimal spread.
 		pts := pointset.RegularPolygonStar(5, 1)
-		asg, _ := core.OrientFullCover(pts, 2, geom.TwoPi, false)
+		asg, _ := core.OrientFullCover(mst.Euclidean(pts), 2, geom.TwoPi, false)
 		style.Title = "Figure 1: degree-5 vertex covered by k=2 antennae (Lemma 1)"
 		return "lemma-1 witness star", render.Assignment(w, asg, style)
 	case 2:
@@ -39,22 +39,22 @@ func Figure(w io.Writer, num int, seed int64) (string, error) {
 	case 3:
 		// Theorem 3 part 1 on a star field (degree-5 cases live here).
 		pts := pointset.StarField(rng, 3)
-		asg, _ := core.OrientTwoAntennae(pts, math.Pi)
+		asg, _ := core.OrientTwoAntennae(mst.Euclidean(pts), math.Pi)
 		style.Title = "Figure 3: Theorem 3.1 orientation (k=2, φ₂=π)"
 		return "theorem 3.1 construction", render.Assignment(w, asg, style)
 	case 4:
 		pts := pointset.StarField(rng, 3)
-		asg, _ := core.OrientTwoAntennae(pts, 0.8*math.Pi)
+		asg, _ := core.OrientTwoAntennae(mst.Euclidean(pts), 0.8*math.Pi)
 		style.Title = "Figure 4: Theorem 3.2 orientation (k=2, φ₂=0.8π)"
 		return "theorem 3.2 construction", render.Assignment(w, asg, style)
 	case 5:
 		pts := pointset.StarField(rng, 2)
-		asg, _ := core.OrientThreeAntennae(pts, 0)
+		asg, _ := core.OrientThreeAntennae(mst.Euclidean(pts), 0)
 		style.Title = "Figure 5: Theorem 5 chains (k=3, spread 0, r ≤ √3)"
 		return "theorem 5 construction", render.Assignment(w, asg, style)
 	case 6:
 		pts := pointset.StarField(rng, 2)
-		asg, _ := core.OrientFourAntennae(pts, 0)
+		asg, _ := core.OrientFourAntennae(mst.Euclidean(pts), 0)
 		style.Title = "Figure 6: Theorem 6 chains (k=4, spread 0, r ≤ √2)"
 		return "theorem 6 construction", render.Assignment(w, asg, style)
 	default:

@@ -158,9 +158,9 @@ func RunAblationCover(cfg Config) []AblationCoverResult {
 		r := AblationCoverResult{K: k, Lemma1Worst: 2 * math.Pi * float64(5-k) / 5}
 		for s := 0; s < cfg.Seeds; s++ {
 			rng := rand.New(rand.NewSource(cfg.BaseSeed + int64(k*500+s)))
-			pts := MakeWorkload(cfg.Workloads[s%len(cfg.Workloads)], rng, cfg.Sizes[s%len(cfg.Sizes)])
-			_, resOpt := core.OrientFullCover(pts, k, geom.TwoPi, false)
-			_, resLit := core.OrientFullCover(pts, k, geom.TwoPi, true)
+			tree := mst.Euclidean(MakeWorkload(cfg.Workloads[s%len(cfg.Workloads)], rng, cfg.Sizes[s%len(cfg.Sizes)]))
+			_, resOpt := core.OrientFullCover(tree, k, geom.TwoPi, false)
+			_, resLit := core.OrientFullCover(tree, k, geom.TwoPi, true)
 			if resOpt.SpreadUsed > r.OptimalSpread {
 				r.OptimalSpread = resOpt.SpreadUsed
 			}

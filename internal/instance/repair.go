@@ -54,13 +54,15 @@ type repairState struct {
 // buildRepairKit (re)builds the maintained repair substrate after a full
 // solve, when the construction is repairable at the budget; nil
 // otherwise, so every later batch full-solves. The tree is rebuilt with
-// the same deterministic mst.Euclidean the construction ran; tour-class
-// kits re-derive the cycle with the same deterministic core.BestTour the
-// engine's tour construction used, so the maintained cycle matches the
-// artifact's rays exactly (a documented duplicate cost, paid only on
-// full solves of tour instances). Bats-class kits exist only in the
-// wedge regime — when one φ-wedge per vertex covers its whole EMST
-// neighborhood; the cube-path regime is global and never repairs.
+// the same deterministic mst.Euclidean the construction ran (the
+// artifact may come from a cache tier, so there is no solve-time tree to
+// adopt); tour-class kits re-derive the cycle from that tree with the
+// same deterministic core.BestTour the engine's tour construction used,
+// so the maintained cycle matches the artifact's rays exactly (the 2-opt
+// is a documented duplicate cost, paid only on full solves of tour
+// instances). Bats-class kits exist only in the wedge regime — when one
+// φ-wedge per vertex covers its whole EMST neighborhood; the cube-path
+// regime is global and never repairs.
 func (m *Manager) buildRepairKit(b Budget, sol *solution.Solution, pts []geom.Point) *repairKit {
 	class := m.repairClass(b, sol)
 	if class == "" || len(pts) < minRepairN {
@@ -87,7 +89,7 @@ func (m *Manager) buildRepairKit(b Budget, sol *solution.Solution, pts []geom.Po
 	}
 	switch class {
 	case core.RepairClassTour:
-		kit.tour, _ = core.BestTour(pts)
+		kit.tour, _ = core.BestTour(kit.tree)
 		if len(kit.tour) != len(pts) {
 			return nil
 		}

@@ -74,45 +74,35 @@ func allPairwiseDistinct(pts []geom.Point) bool {
 
 func checkEMSTAgainstPrim(t *testing.T, label string, pts []geom.Point) {
 	t.Helper()
-	ref := Prim(pts)
-	for _, alg := range []struct {
-		name  string
-		build func([]geom.Point) *Tree
-	}{
-		{"delaunay", Delaunay},
-		{"kruskal", Kruskal},
-	} {
-		got := alg.build(pts)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("%s/%s: invalid tree: %v", label, alg.name, err)
+	ref, got := Prim(pts), Delaunay(pts)
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: invalid tree: %v", label, err)
+	}
+	if dw := math.Abs(got.TotalLength() - ref.TotalLength()); dw > 1e-6 {
+		t.Fatalf("%s: weight %v != Prim %v (Δ=%v)", label, got.TotalLength(), ref.TotalLength(), dw)
+	}
+	if math.Abs(got.LMax()-ref.LMax()) > 1e-6 {
+		t.Fatalf("%s: bottleneck %v != Prim %v", label, got.LMax(), ref.LMax())
+	}
+	// With all pairwise distances distinct the EMST is unique, so the
+	// edge sets must agree exactly (weight ties permit different but
+	// equally-light trees).
+	if len(pts) <= 220 && allPairwiseDistinct(pts) {
+		ge, re := normalizedEdges(got), normalizedEdges(ref)
+		if len(ge) != len(re) {
+			t.Fatalf("%s: %d edges vs Prim's %d", label, len(ge), len(re))
 		}
-		if dw := math.Abs(got.TotalLength() - ref.TotalLength()); dw > 1e-6 {
-			t.Fatalf("%s/%s: weight %v != Prim %v (Δ=%v)",
-				label, alg.name, got.TotalLength(), ref.TotalLength(), dw)
-		}
-		if math.Abs(got.LMax()-ref.LMax()) > 1e-6 {
-			t.Fatalf("%s/%s: bottleneck %v != Prim %v", label, alg.name, got.LMax(), ref.LMax())
-		}
-		// With all pairwise distances distinct the EMST is unique, so the
-		// edge sets must agree exactly (weight ties permit different but
-		// equally-light trees).
-		if len(pts) <= 220 && allPairwiseDistinct(pts) {
-			ge, re := normalizedEdges(got), normalizedEdges(ref)
-			if len(ge) != len(re) {
-				t.Fatalf("%s/%s: %d edges vs Prim's %d", label, alg.name, len(ge), len(re))
-			}
-			for i := range ge {
-				if ge[i] != re[i] {
-					t.Fatalf("%s/%s: edge %d is %v, Prim has %v", label, alg.name, i, ge[i], re[i])
-				}
+		for i := range ge {
+			if ge[i] != re[i] {
+				t.Fatalf("%s: edge %d is %v, Prim has %v", label, i, ge[i], re[i])
 			}
 		}
 	}
 }
 
 // TestEMSTEquivalenceProperty is the acceptance property for the fast
-// substrate: the Delaunay-filtered Kruskal (and the grid Kruskal) must
-// reproduce dense Prim's EMST — edge set when unique, total weight and
+// substrate: the Delaunay-filtered Kruskal must reproduce dense Prim's
+// EMST — edge set when unique, total weight and
 // bottleneck always — across every input family.
 func TestEMSTEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2009))

@@ -9,12 +9,10 @@ package mst
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/spatial"
 )
 
 // Tree is a Euclidean spanning tree over a point set.
@@ -184,136 +182,6 @@ func Prim(pts []geom.Point) *Tree {
 				from[v] = best
 			}
 		}
-	}
-	return newTree(pts, edges)
-}
-
-// Kruskal computes a Euclidean MST using grid-filtered candidate edges:
-// it sorts all pairs within an adaptively doubled radius and unions them,
-// growing the radius until the forest spans. On uniformly spread inputs
-// the candidate set is near-linear. The per-round ordering is a primitive
-// uint64 sort over packed (weight bits, candidate index) keys — see
-// sortedByWeight for the precision argument. Falls back to Prim if the
-// radius doubling degenerates (e.g. coincident points).
-func Kruskal(pts []geom.Point) *Tree {
-	n := len(pts)
-	if n <= 1 {
-		return newTree(pts, nil)
-	}
-	g := spatial.NewGrid(pts, 0)
-	dsu := graph.NewDSU(n)
-	edges := make([][2]int, 0, n-1)
-	minP, maxP := geom.BoundingBox(pts)
-	span := math.Hypot(maxP.X-minP.X, maxP.Y-minP.Y)
-	if span == 0 {
-		span = 1
-	}
-	r := g.CellSize() * 2
-	prevR := 0.0
-	cu := make([]int32, 0, 8*n)
-	cv := make([]int32, 0, 8*n)
-	d2s := make([]float64, 0, 8*n)
-	var keys, buf []uint64
-	var minority []int32
-	var sizes []int32
-	var isMin []bool
-	var within []int
-	for {
-		cu, cv, d2s = cu[:0], cv[:0], d2s[:0]
-		prev2 := prevR * prevR
-		if prevR == 0 {
-			// First round: admit zero-length pairs too, or coincident
-			// points would only ever connect through paid detours.
-			prev2 = -1
-		}
-		add := func(i, j int) {
-			d2 := pts[i].Dist2(pts[j])
-			if d2 > prev2 { // skip pairs already processed in earlier rounds
-				cu = append(cu, int32(i))
-				cv = append(cv, int32(j))
-				d2s = append(d2s, d2)
-			}
-		}
-		if prevR == 0 {
-			g.Pairs(r, add)
-		} else {
-			// Later rounds: every useful candidate joins two components, so
-			// it has an endpoint outside the largest one. Pairs internal to
-			// the largest component can never enter the MST (their
-			// endpoints are already connected by strictly shorter edges),
-			// so only the minority points' neighborhoods need scanning —
-			// the doubled radius is never swept over the whole point set
-			// again.
-			for _, ui := range minority {
-				u := int(ui)
-				within = g.Within(pts[u], r, within[:0])
-				for _, v := range within {
-					if v == u || (isMin[v] && v < u) {
-						continue // self, or minority pair seen from v's side
-					}
-					add(u, v)
-				}
-			}
-		}
-		b := bits.Len(uint(len(d2s)))
-		mask := uint64(1)<<b - 1
-		keys = keys[:0]
-		for i, d2 := range d2s {
-			keys = append(keys, math.Float64bits(d2)&^mask|uint64(i))
-		}
-		if cap(buf) < len(keys) {
-			buf = make([]uint64, len(keys))
-		}
-		radixSortU64(keys, buf[:cap(buf)])
-		// Every candidate in this round is longer than every edge already
-		// processed (d² > prevR²), so rounds preserve the global Kruskal
-		// order and the result is an exact MST.
-		r2 := r * r
-		for _, k := range keys {
-			i := int(k & mask)
-			if d2s[i] <= r2 && dsu.Union(int(cu[i]), int(cv[i])) {
-				edges = append(edges, [2]int{int(cu[i]), int(cv[i])})
-			}
-		}
-		if dsu.Sets() == 1 || r > 2*span {
-			break
-		}
-		// Identify the points outside the largest component for the next
-		// round's restricted scan. Roots are vertex ids, so a flat counts
-		// slice replaces a map; ascending iteration breaks size ties to
-		// the smallest root, keeping the minority set — and with it
-		// equal-weight candidate ordering — deterministic.
-		if sizes == nil {
-			sizes = make([]int32, n)
-			isMin = make([]bool, n)
-		} else {
-			for i := range sizes {
-				sizes[i] = 0
-			}
-		}
-		for v := 0; v < n; v++ {
-			sizes[dsu.Find(v)]++
-		}
-		giant := -1
-		for root := range sizes {
-			if giant < 0 || sizes[root] > sizes[giant] {
-				giant = root
-			}
-		}
-		minority = minority[:0]
-		for v := 0; v < n; v++ {
-			m := dsu.Find(v) != giant
-			isMin[v] = m
-			if m {
-				minority = append(minority, int32(v))
-			}
-		}
-		prevR = r
-		r *= 2
-	}
-	if dsu.Sets() != 1 {
-		// Degenerate fallback: finish with Prim on the remaining forest.
-		return Prim(pts)
 	}
 	return newTree(pts, edges)
 }

@@ -41,33 +41,6 @@ func TestPrimDegenerate(t *testing.T) {
 	}
 }
 
-func TestKruskalMatchesPrim(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 25; trial++ {
-		var pts []geom.Point
-		switch trial % 3 {
-		case 0:
-			pts = pointset.Uniform(rng, 5+rng.Intn(200), 10)
-		case 1:
-			pts = pointset.Clusters(rng, 5+rng.Intn(200), 4, 20, 0.4)
-		default:
-			pts = pointset.Ring(rng, 5+rng.Intn(100), 5, 0.3)
-		}
-		a := Prim(pts)
-		b := Kruskal(pts)
-		if err := b.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// MSTs may differ on ties, but total weight must match.
-		if math.Abs(a.TotalLength()-b.TotalLength()) > 1e-6 {
-			t.Fatalf("trial %d: Prim %.9f vs Kruskal %.9f", trial, a.TotalLength(), b.TotalLength())
-		}
-		if math.Abs(a.LMax()-b.LMax()) > 1e-6 {
-			t.Fatalf("trial %d: LMax %.9f vs %.9f", trial, a.LMax(), b.LMax())
-		}
-	}
-}
-
 func TestEuclideanMaxDegree5(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {

@@ -72,7 +72,6 @@ type SpanView struct {
 	StartMS float64 `json:"start_ms"`
 	DurMS   float64 `json:"dur_ms"`
 	Parent  int     `json:"parent"`
-	Async   bool    `json:"async,omitempty"`
 }
 
 // RingSnapshot is the /debug/traces payload.
@@ -126,7 +125,6 @@ func viewOf(t *Trace) TraceView {
 			StartMS: float64(s.Start) / 1e6,
 			DurMS:   float64(d) / 1e6,
 			Parent:  s.Parent,
-			Async:   s.Async,
 		})
 	}
 	return v

@@ -29,8 +29,9 @@ const (
 )
 
 // Trace accumulates the spans recorded while serving one request. All
-// methods are safe for concurrent use: phases overlapped by the engine
-// (EMST prefetch, salvage completions) record from their own goroutines.
+// methods are safe for concurrent use: phases the engine runs off the
+// request goroutine (the orientation, salvage completions) record from
+// their own goroutines.
 type Trace struct {
 	// ID is the request's trace identifier, echoed on the X-Trace-Id
 	// response header. Immutable after NewTrace.
@@ -54,14 +55,9 @@ type SpanRecord struct {
 	// Dur is the span's duration, or -1 while the span is open.
 	Dur time.Duration
 	// Parent is the index of the enclosing span, or -1 for a
-	// top-level span. Only top-level synchronous spans contribute to
-	// the Server-Timing phase sum.
+	// top-level span. Only top-level spans contribute to the
+	// Server-Timing phase sum.
 	Parent int
-	// Async marks spans that run concurrently with the main request
-	// path (for example the EMST prefetch that overlaps orient); they
-	// are excluded from the Server-Timing sum so the reported phases
-	// always add up to wall time.
-	Async bool
 }
 
 // Attr is one key/value annotation on a trace (route, cache source,
@@ -143,29 +139,17 @@ func Detach(ctx context.Context) context.Context {
 
 var noopEnd = func() {}
 
-// StartSpan opens a synchronous phase span named name on ctx's trace and
-// returns a derived context (children started from it attribute to this
-// span) plus the closure that ends the span. When ctx carries no trace
-// both returns are no-ops and nothing allocates.
+// StartSpan opens a phase span named name on ctx's trace and returns a
+// derived context (children started from it attribute to this span)
+// plus the closure that ends the span. When ctx carries no trace both
+// returns are no-ops and nothing allocates.
 func StartSpan(ctx context.Context, name string) (context.Context, func()) {
 	t := FromContext(ctx)
 	if t == nil {
 		return ctx, noopEnd
 	}
-	idx := t.startSpan(name, parentIndex(ctx), false)
+	idx := t.startSpan(name, parentIndex(ctx))
 	return context.WithValue(ctx, spanKey, idx), func() { t.endSpan(idx) }
-}
-
-// AsyncSpan opens a span flagged as running concurrently with the main
-// request path. Async spans appear in /debug/traces but are excluded
-// from the Server-Timing sum (they would double-count wall time).
-func AsyncSpan(ctx context.Context, name string) func() {
-	t := FromContext(ctx)
-	if t == nil {
-		return noopEnd
-	}
-	idx := t.startSpan(name, parentIndex(ctx), true)
-	return func() { t.endSpan(idx) }
 }
 
 func parentIndex(ctx context.Context) int {
@@ -175,14 +159,14 @@ func parentIndex(ctx context.Context) int {
 	return -1
 }
 
-func (t *Trace) startSpan(name string, parent int, async bool) int {
+func (t *Trace) startSpan(name string, parent int) int {
 	off := time.Since(t.Begin)
 	t.mu.Lock()
 	idx := len(t.spans)
 	if parent >= len(t.spans) {
 		parent = -1
 	}
-	t.spans = append(t.spans, SpanRecord{Name: name, Start: off, Dur: -1, Parent: parent, Async: async})
+	t.spans = append(t.spans, SpanRecord{Name: name, Start: off, Dur: -1, Parent: parent})
 	t.mu.Unlock()
 	return idx
 }
@@ -210,7 +194,7 @@ func Annotate(ctx context.Context, key, value string) {
 }
 
 // Finish freezes the trace's wall time (first call wins) and returns the
-// Server-Timing header value: every top-level synchronous phase
+// Server-Timing header value: every top-level phase
 // aggregated by name in first-seen order, a synthesized "other" bucket
 // covering un-spanned wall time, and "total". By construction the
 // non-total phases sum to the reported total (modulo clamping when
@@ -240,7 +224,7 @@ func (t *Trace) serverTimingLocked() string {
 	var phases []agg
 	var sum time.Duration
 	for _, s := range t.spans {
-		if s.Parent != -1 || s.Async {
+		if s.Parent != -1 {
 			continue
 		}
 		d := s.Dur

@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/core"
-	"repro/internal/geom"
+	"repro/internal/mst"
 	"repro/internal/verify"
 )
 
@@ -262,7 +262,9 @@ type raceOutcome struct {
 	res       *core.Result
 }
 
-// Race runs the shortlist concurrently on the actual instance and picks
+// Race runs the shortlist concurrently on the actual instance — every
+// candidate orients the same EMST tree, which none of them modifies —
+// and picks
 // the candidate with the smallest measured max radius among those that
 // finish cleanly before the context is done; the winning run rides along
 // in the Decision so the caller never orients twice. Candidates that
@@ -276,7 +278,7 @@ type raceOutcome struct {
 // until it finishes on its own; its result is discarded. Racing trades
 // that burst of wasted work for instance-measured selection — callers
 // under sustained load should prefer the a-priori Plan.
-func (p *Planner) Race(ctx context.Context, pts []geom.Point, obj Objective, k int, phi float64) (Decision, error) {
+func (p *Planner) Race(ctx context.Context, tree *mst.Tree, obj Objective, k int, phi float64) (Decision, error) {
 	feasible, rejected := p.Shortlist(obj, k, phi)
 	if len(feasible) == 0 {
 		return Decision{Rejected: rejected}, fmt.Errorf(
@@ -298,7 +300,7 @@ func (p *Planner) Race(ctx context.Context, pts []geom.Point, obj Objective, k i
 		go func(i int, o core.Orienter) {
 			// Candidates with cancellation checkpoints stop at the race
 			// deadline instead of burning the lost run to completion.
-			asg, res, err := o.OrientCtx(ctx, pts, k, phi)
+			asg, res, err := o.OrientCtx(ctx, tree, k, phi)
 			out := raceOutcome{idx: i}
 			if err == nil && len(res.Violations) == 0 {
 				out.ok = true

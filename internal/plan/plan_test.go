@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mst"
 	"repro/internal/pointset"
 	"repro/internal/verify"
 )
@@ -171,15 +173,21 @@ func workloadPoints(kind string, rng *rand.Rand, n int) []geom.Point {
 
 // TestRacePicksAWinner: with a generous deadline every shortlisted
 // candidate finishes, and the race must return a measured winner from the
-// shortlist.
+// shortlist. Every candidate orients the same tree concurrently, so the
+// tree must come out of the race unchanged (and, under -race, without a
+// data race).
 func TestRacePicksAWinner(t *testing.T) {
 	var p Planner
 	rng := rand.New(rand.NewSource(99))
 	pts := pointset.Uniform(rng, 80, 8)
 	obj := Objective{Conn: core.ConnStrong, Minimize: MinStretch, Deadline: 30 * time.Second}
-	d, err := p.Race(context.Background(), pts, obj, 2, 0)
+	tree := mst.Euclidean(pts)
+	d, err := p.Race(context.Background(), tree, obj, 2, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fresh := mst.Euclidean(pts); !reflect.DeepEqual(tree.Edges(), fresh.Edges()) || !reflect.DeepEqual(tree.Adj, fresh.Adj) {
+		t.Fatal("a race candidate modified the shared EMST")
 	}
 	if !d.Raced {
 		t.Fatal("race fell back to a-priori pick under a generous deadline")

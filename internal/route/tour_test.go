@@ -66,7 +66,7 @@ func TestSpliceTourInvariants(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		pts := randPts(150, seed)
-		tour, _ := core.BestTour(pts)
+		tour, _ := core.BestTour(mst.Euclidean(pts))
 
 		removed := map[int]bool{}
 		for len(removed) < 4 {
@@ -125,7 +125,7 @@ func TestSpliceTourInvariants(t *testing.T) {
 // survivors to stitch.
 func TestSpliceTourBailsOnShatter(t *testing.T) {
 	pts := randPts(10, 7)
-	tour, _ := core.BestTour(pts)
+	tour, _ := core.BestTour(mst.Euclidean(pts))
 	removed := map[int]bool{}
 	for i := 0; i < 8; i++ {
 		removed[i] = true
@@ -181,7 +181,7 @@ func TestLocalTwoOptTracksSuccessorChanges(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		pts := randPts(120, 40+seed)
 		tree := mst.Euclidean(pts)
-		tour, _ := core.BestTour(pts)
+		tour, _ := core.BestTour(tree)
 		// Corrupt the tour deterministically to create work.
 		rng := rand.New(rand.NewSource(seed))
 		for s := 0; s < 3; s++ {
@@ -234,7 +234,7 @@ func successors(tour []int) map[int]int {
 // TestLocalTwoOptCancellation: an expired context aborts the repair.
 func TestLocalTwoOptCancellation(t *testing.T) {
 	pts := randPts(50, 3)
-	tour, _ := core.BestTour(pts)
+	tour, _ := core.BestTour(mst.Euclidean(pts))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	grid := spatial.NewGrid(pts, 0)

@@ -5,8 +5,9 @@
 // through Engine.Solve, which checks the two cache tiers (the in-memory
 // byte-charged LRU, then the durable disk store that survives restarts),
 // single-flights identical in-flight requests into one solve, plans via
-// the orienter registry's declared guarantees (internal/plan), orients
-// each miss on its own goroutine under the flight's context, audits the
+// the orienter registry's declared guarantees (internal/plan), builds the
+// point set's EMST once, orients each miss from that tree on its own
+// goroutine under the flight's context, audits the
 // output with the independent verifier, and fills both tiers with the
 // resulting artifact, content-addressed by (pointset digest, budget,
 // selection mode). The HTTP surface (http.go) adds the request-lifecycle
@@ -407,7 +408,7 @@ func (e *Engine) leave(f *flight) {
 func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (*solution.Solution, error) {
 	t0 := time.Now()
 	_, endPlan := obs.StartSpan(ctx, "plan")
-	algo, decision, err := e.selectAlgo(ctx, req)
+	algo, decision, err := e.selectAlgo(req)
 	endPlan()
 	if err != nil {
 		return nil, err
@@ -422,19 +423,39 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 			algo, req.K, req.Phi, orienter.Info().Region)}
 	}
 
-	// The verifier's radius audit divides by the EMST bottleneck l_max —
-	// the same mst.Euclidean(req.Pts).LMax() the verify tail would
-	// recompute from scratch. Kick that tree build off now so it overlaps
-	// the orientation instead of serializing after it; finish folds the
-	// value into the budgets as KnownLMax.
-	lmaxc := prefetchLMax(ctx, req.Pts)
+	// One EMST per solve, built once the request is known to be
+	// feasible. The verifier's radius audit divides by its bottleneck
+	// l_max, read here before any construction sees the tree; the
+	// orienter, or every race candidate, then starts from the same tree.
+	// A flight nobody waits for any more stops after the build instead
+	// of orienting.
+	_, endEMST := obs.StartSpan(ctx, "emst")
+	tree := mst.Euclidean(req.Pts)
+	endEMST()
+	if err := ctx.Err(); err != nil {
+		e.noteCtxErr(err)
+		return nil, err
+	}
+	lmax := tree.LMax()
 
-	// A race already oriented the winner on this instance; reuse that
-	// run instead of orienting a second time.
-	if decision != nil && decision.WinnerAsg != nil {
-		sol := e.finish(ctx, req, key, decision, guar, decision.WinnerAsg, decision.WinnerRes, lmaxc)
-		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
-		return sol, nil
+	if decision != nil && req.Objective.Deadline > 0 {
+		e.metrics.Races.Add(1)
+		_, endRace := obs.StartSpan(ctx, "plan")
+		d, err := e.planner.Race(ctx, tree, req.Objective, req.K, req.Phi)
+		endRace()
+		if err != nil {
+			return nil, &InfeasibleError{Err: err}
+		}
+		// A race that finished no candidate falls back to the a-priori
+		// winner already resolved above. Otherwise it oriented the
+		// winner on this instance; reuse that run instead of orienting
+		// a second time.
+		decision, guar = &d, d.Guarantee
+		if d.WinnerAsg != nil {
+			sol := e.finish(ctx, req, key, decision, guar, d.WinnerAsg, d.WinnerRes, lmax)
+			e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
+			return sol, nil
+		}
 	}
 
 	// Every miss orients on its own goroutine under the flight context,
@@ -446,7 +467,7 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 	resc := make(chan orientOutcome, 1)
 	go func() {
 		var out orientOutcome
-		out.asg, out.res, out.err = orienter.OrientCtx(ctx, req.Pts, req.K, req.Phi)
+		out.asg, out.res, out.err = orienter.OrientCtx(ctx, tree, req.K, req.Phi)
 		resc <- out
 	}()
 	select {
@@ -465,10 +486,10 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 			// deadline reports the expiry, never a lucky scheduling
 			// race — but the artifact is salvaged for the tiers.
 			e.noteCtxErr(err)
-			e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
+			e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
 			return nil, err
 		}
-		sol := e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
+		sol := e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
 		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
 		return sol, nil
 	case <-ctx.Done():
@@ -477,7 +498,7 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		// it eventually lands so a retry does not re-pay it.
 		go func() {
 			if out := <-resc; out.err == nil {
-				e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmaxc)
+				e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
 			}
 		}()
 		e.noteCtxErr(ctx.Err())
@@ -492,42 +513,18 @@ type orientOutcome struct {
 	err error
 }
 
-// prefetchLMax computes the EMST bottleneck of pts on its own goroutine.
-// The channel is buffered so the producer never blocks; every solveMiss
-// path receives at most once (in finish). Returns nil for point sets
-// with no spanning edge. The span is async: the tree build deliberately
-// overlaps the orientation, so it must not count toward the sequential
-// phase sum.
-func prefetchLMax(ctx context.Context, pts []geom.Point) <-chan float64 {
-	if len(pts) <= 1 {
-		return nil
-	}
-	c := make(chan float64, 1)
-	go func() {
-		end := obs.AsyncSpan(ctx, "emst")
-		c <- mst.Euclidean(pts).LMax()
-		end()
-	}()
-	return c
-}
-
 // finish runs the post-orientation tail — independent verification,
 // artifact assembly, and the fill of both cache tiers — and returns the
-// immutable artifact.
+// immutable artifact. lmax is the bottleneck of the solve's EMST,
+// bit-for-bit the value verify.Check would recompute (the same
+// mst.Euclidean over the same points), so handing it over changes no
+// verdict and saves a second tree build.
 func (e *Engine) finish(ctx context.Context, req Request, key solution.Key, decision *plan.Decision, guar core.Guarantee,
-	asg *antenna.Assignment, res *core.Result, lmaxc <-chan float64) *solution.Solution {
+	asg *antenna.Assignment, res *core.Result, lmax float64) *solution.Solution {
 	// Budgets come from the a-priori guarantee, never from the
 	// construction's self-report.
 	budgets := plan.VerifyBudgets(guar)
-	if lmaxc != nil {
-		// The prefetched bottleneck is bit-for-bit the value verify.Check
-		// would recompute (same mst.Euclidean over the same points), so
-		// handing it over changes no verdicts — only the duplicate tree
-		// build goes away.
-		if lm := <-lmaxc; lm > 0 {
-			budgets.KnownLMax = lm
-		}
-	}
+	budgets.KnownLMax = lmax
 	_, endVerify := obs.StartSpan(ctx, "verify")
 	rep := verify.Check(asg, budgets)
 	endVerify()
@@ -576,21 +573,14 @@ func validate(req Request) error {
 }
 
 // selectAlgo resolves the orienter to run: the explicit name, or the
-// planner's choice (raced on the instance when the objective sets a
-// deadline).
-func (e *Engine) selectAlgo(ctx context.Context, req Request) (string, *plan.Decision, error) {
+// planner's a-priori choice (which a racing objective may overturn once
+// the EMST is built, see solveMiss).
+func (e *Engine) selectAlgo(req Request) (string, *plan.Decision, error) {
 	if req.Algo != "" {
 		return req.Algo, nil, nil
 	}
 	e.metrics.PlanCalls.Add(1)
-	var d plan.Decision
-	var err error
-	if req.Objective.Deadline > 0 {
-		e.metrics.Races.Add(1)
-		d, err = e.planner.Race(ctx, req.Pts, req.Objective, req.K, req.Phi)
-	} else {
-		d, err = e.planner.Plan(req.Objective, req.K, req.Phi)
-	}
+	d, err := e.planner.Plan(req.Objective, req.K, req.Phi)
 	if err != nil {
 		// An empty shortlist is a property of the budget and objective
 		// alone — deterministic, hence negatively cacheable.

@@ -80,9 +80,39 @@ func isHexID(s string) bool {
 	return true
 }
 
+// spanCount fetches /debug/traces and counts the spans named name on the
+// recorded trace id.
+func spanCount(t *testing.T, base, id, name string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.RingSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("/debug/traces payload: %v", err)
+	}
+	for _, tv := range snap.Recent {
+		if tv.TraceID != id {
+			continue
+		}
+		n := 0
+		for _, sp := range tv.Spans {
+			if sp.Name == name {
+				n++
+			}
+		}
+		return n
+	}
+	t.Fatalf("trace %s not in /debug/traces", id)
+	return 0
+}
+
 // TestOrientTracingHeaders: every /orient response carries X-Trace-Id
 // (minted, or the sanitized inbound value) and a Server-Timing header
-// whose phases account for the wall time.
+// whose phases account for the wall time. A miss builds the EMST exactly
+// once, as its own top-level phase; a hit builds none.
 func TestOrientTracingHeaders(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"gen":{"workload":"uniform","n":200,"seed":21},"k":2,"phi":0,"algo":"tworay"}`
@@ -97,10 +127,13 @@ func TestOrientTracingHeaders(t *testing.T) {
 	}
 	ph := assertPhasesSumToTotal(t, resp.Header.Get("Server-Timing"))
 	// A miss runs the solve pipeline; its phases must be visible.
-	for _, phase := range []string{"plan", "orient"} {
+	for _, phase := range []string{"plan", "emst", "orient"} {
 		if _, ok := ph[phase]; !ok {
 			t.Errorf("miss Server-Timing lacks %q phase: %v", phase, ph)
 		}
+	}
+	if n := spanCount(t, ts.URL, id, "emst"); n != 1 {
+		t.Errorf("miss trace holds %d emst spans, want 1", n)
 	}
 
 	// An inbound trace ID is honored end to end.
@@ -121,6 +154,9 @@ func TestOrientTracingHeaders(t *testing.T) {
 	hp := assertPhasesSumToTotal(t, resp2.Header.Get("Server-Timing"))
 	if _, ok := hp["cache"]; !ok {
 		t.Errorf("hit Server-Timing lacks cache phase: %v", hp)
+	}
+	if _, ok := hp["emst"]; ok {
+		t.Errorf("memory hit Server-Timing has an emst phase: %v", hp)
 	}
 
 	// A garbage inbound ID is replaced, not reflected (header injection).

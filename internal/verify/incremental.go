@@ -168,7 +168,9 @@ func removeID(lists [][]int32, from, val int32) {
 // sectors may differ from the previous revision (all fresh indices are
 // implicitly dirty even if omitted), and knownLMax is the revision's
 // EMST bottleneck, vouched for by the caller exactly as
-// Budgets.KnownLMax documents.
+// Budgets.KnownLMax documents (the churn-equivalence harness polices the
+// repair path's value by cross-checking repaired revisions against
+// from-scratch solves whose verification recomputes l_max).
 //
 // The returned report has the same meaning as Check's. A contract
 // violation (mismatched lengths, non-positive knownLMax, invalid dirty

@@ -26,17 +26,18 @@ type ivConfig struct {
 func ivConfigs(t *testing.T) []ivConfig {
 	tourBuild := func(k int) func(pts []geom.Point) *antenna.Assignment {
 		return func(pts []geom.Point) *antenna.Assignment {
-			tour, _ := core.BestTour(pts)
-			asg, _ := core.OrientTour(pts, tour, k, 0)
+			tree := mst.Euclidean(pts)
+			tour, _ := core.BestTour(tree)
+			asg, _ := core.OrientTour(tree, tour, k, 0)
 			return asg
 		}
 	}
 	coverBuild := func(pts []geom.Point) *antenna.Assignment {
-		asg, _ := core.OrientFullCover(pts, 2, core.Phi2Full, false)
+		asg, _ := core.OrientFullCover(mst.Euclidean(pts), 2, core.Phi2Full, false)
 		return asg
 	}
 	batsBuild := func(pts []geom.Point) *antenna.Assignment {
-		asg, _ := core.OrientBoundedAngleTree(pts, 1, core.Phi1Full)
+		asg, _ := core.OrientBoundedAngleTree(mst.Euclidean(pts), 1, core.Phi1Full)
 		return asg
 	}
 	return []ivConfig{
@@ -201,7 +202,7 @@ func TestIncrementalVerifierDetectsFailure(t *testing.T) {
 		pts[i] = geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
 	}
 	b := verify.Budgets{K: 2, Phi: core.Phi2Full, RadiusBound: 1, Symmetric: true}
-	asg, _ := core.OrientFullCover(pts, 2, core.Phi2Full, false)
+	asg, _ := core.OrientFullCover(mst.Euclidean(pts), 2, core.Phi2Full, false)
 	iv := verify.NewIncremental(asg, b)
 
 	// Same point set, but one sensor goes deaf (sectors dropped).
@@ -240,7 +241,7 @@ func TestIncrementalVerifierContractViolations(t *testing.T) {
 		pts[i] = geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
 	}
 	b := verify.Budgets{K: 2, Phi: core.Phi2Full, RadiusBound: 1, Symmetric: true}
-	asg, _ := core.OrientFullCover(pts, 2, core.Phi2Full, false)
+	asg, _ := core.OrientFullCover(mst.Euclidean(pts), 2, core.Phi2Full, false)
 	iv := verify.NewIncremental(asg, b)
 
 	if rep := iv.Apply(asg, nil, []int{0, 1}, nil, 1); rep.OK() {

@@ -26,14 +26,14 @@ type Budgets struct {
 	Symmetric   bool    // require the mutual (bidirectional) edges alone to connect the network
 	// KnownLMax, when positive, supplies the EMST bottleneck l_max
 	// instead of recomputing it from scratch. The caller vouches for the
-	// value: the live-instance repair path (internal/instance) passes the
-	// bottleneck of the EMST it maintains exactly — the same quantity
-	// mst.Euclidean would recompute — so every structural check
-	// (connectivity, spread, antenna counts, the radius ratio against
-	// KnownLMax) still runs in full; only the duplicate tree build is
-	// skipped. Its exactness is policed by the churn-equivalence harness,
-	// which cross-checks repaired revisions against from-scratch solves
-	// whose verification recomputes l_max independently.
+	// value: the engine (internal/service) passes the bottleneck of the
+	// mst.Euclidean tree it builds once per solve, read before the
+	// orienter sees that tree — the same quantity Check would recompute —
+	// so every structural check (connectivity, spread, antenna counts,
+	// the radius ratio against KnownLMax) still runs in full; only the
+	// duplicate tree build is skipped. The live-instance repair path
+	// leaves it unset and supplies each revision's l_max to
+	// Incremental.Apply instead.
 	KnownLMax float64
 }
 
