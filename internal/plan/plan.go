@@ -84,8 +84,9 @@ type Objective struct {
 	StrongC int
 	// Minimize ranks the feasible shortlist.
 	Minimize Minimize
-	// Deadline, when positive, makes Plan race the shortlist on the
-	// instance instead of picking a priori.
+	// Deadline, when positive, has the engine Race the planned
+	// shortlist on the instance for that long, counted once its EMST
+	// is built, instead of keeping the a-priori pick.
 	Deadline time.Duration
 }
 
@@ -262,14 +263,15 @@ type raceOutcome struct {
 	res       *core.Result
 }
 
-// Race runs the shortlist concurrently on the actual instance — every
-// candidate orients the same EMST tree, which none of them modifies —
-// and picks
-// the candidate with the smallest measured max radius among those that
-// finish cleanly before the context is done; the winning run rides along
-// in the Decision so the caller never orients twice. Candidates that
-// error, report violations, or miss the deadline are ignored; if none
-// finishes, Race falls back to the a-priori ranking. Ties break toward
+// Race runs the shortlist of the a-priori decision d concurrently on
+// the actual instance — every candidate orients the same EMST tree,
+// which none of them modifies — and picks the candidate with the
+// smallest measured max radius among those that finish cleanly within
+// deadline (counted from the call, so it excludes the caller's tree
+// build; ≤ 0 means no limit); the winning run rides along in the
+// Decision so the caller never orients twice. Candidates that error,
+// report violations, or miss the deadline are ignored; if none
+// finishes, Race returns d, the a-priori ranking. Ties break toward
 // the a-priori rank, so a race with a generous deadline is
 // deterministic.
 //
@@ -278,15 +280,11 @@ type raceOutcome struct {
 // until it finishes on its own; its result is discarded. Racing trades
 // that burst of wasted work for instance-measured selection — callers
 // under sustained load should prefer the a-priori Plan.
-func (p *Planner) Race(ctx context.Context, tree *mst.Tree, obj Objective, k int, phi float64) (Decision, error) {
-	feasible, rejected := p.Shortlist(obj, k, phi)
-	if len(feasible) == 0 {
-		return Decision{Rejected: rejected}, fmt.Errorf(
-			"plan: no registered orienter guarantees %s connectivity at k=%d phi=%.4f", obj.Conn, k, phi)
-	}
-	if obj.Deadline > 0 {
+func Race(ctx context.Context, tree *mst.Tree, d Decision, deadline time.Duration, k int, phi float64) Decision {
+	feasible := d.Shortlist
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, obj.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	results := make(chan raceOutcome, len(feasible))
@@ -329,22 +327,11 @@ collect:
 		}
 	}
 	if best.idx < 0 {
-		// Nothing finished in time: fall back to the a-priori pick.
-		return Decision{
-			Winner:    feasible[0].Name,
-			Guarantee: feasible[0].Guarantee,
-			Shortlist: feasible,
-			Rejected:  rejected,
-		}, nil
+		return d // nothing finished in time: keep the a-priori pick
 	}
-	return Decision{
-		Winner:    feasible[best.idx].Name,
-		Guarantee: feasible[best.idx].Guarantee,
-		Shortlist: feasible,
-		Rejected:  rejected,
-		Raced:     true,
-		Measured:  best.maxRadius,
-		WinnerAsg: best.asg,
-		WinnerRes: best.res,
-	}, nil
+	c := feasible[best.idx]
+	d.Winner, d.Guarantee = c.Name, c.Guarantee
+	d.Raced, d.Measured = true, best.maxRadius
+	d.WinnerAsg, d.WinnerRes = best.asg, best.res
+	return d
 }

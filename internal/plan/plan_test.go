@@ -182,10 +182,11 @@ func TestRacePicksAWinner(t *testing.T) {
 	pts := pointset.Uniform(rng, 80, 8)
 	obj := Objective{Conn: core.ConnStrong, Minimize: MinStretch, Deadline: 30 * time.Second}
 	tree := mst.Euclidean(pts)
-	d, err := p.Race(context.Background(), tree, obj, 2, 0)
+	planned, err := p.Plan(obj, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := Race(context.Background(), tree, planned, obj.Deadline, 2, 0)
 	if fresh := mst.Euclidean(pts); !reflect.DeepEqual(tree.Edges(), fresh.Edges()) || !reflect.DeepEqual(tree.Adj, fresh.Adj) {
 		t.Fatal("a race candidate modified the shared EMST")
 	}

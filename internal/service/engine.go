@@ -404,7 +404,10 @@ func (e *Engine) leave(f *flight) {
 // caller's deadline, the caller gets ctx.Err() while the finished
 // artifact is still verified and written into both tiers (synchronously
 // if the result was already in hand, in the background otherwise), so a
-// retry hits the cache instead of re-paying the solve.
+// retry hits the cache instead of re-paying the solve. That includes a
+// flight abandoned during its EMST build: it still orients, uncancelled,
+// on the salvage path, so a deadline shorter than the build does not
+// leave every retry rebuilding the tree for nothing.
 func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (*solution.Solution, error) {
 	t0 := time.Now()
 	_, endPlan := obs.StartSpan(ctx, "plan")
@@ -427,27 +430,25 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 	// feasible. The verifier's radius audit divides by its bottleneck
 	// l_max, read here before any construction sees the tree; the
 	// orienter, or every race candidate, then starts from the same tree.
-	// A flight nobody waits for any more stops after the build instead
-	// of orienting.
 	_, endEMST := obs.StartSpan(ctx, "emst")
 	tree := mst.Euclidean(req.Pts)
 	endEMST()
-	if err := ctx.Err(); err != nil {
-		e.noteCtxErr(err)
-		return nil, err
-	}
 	lmax := tree.LMax()
+	octx := ctx
+	if ctx.Err() != nil {
+		// Abandoned during the build: a construction would refuse the
+		// done context before starting, so orient without its
+		// cancellation and let the salvage path below fill the tiers.
+		octx = context.WithoutCancel(ctx)
+	}
 
 	if decision != nil && req.Objective.Deadline > 0 {
 		e.metrics.Races.Add(1)
 		_, endRace := obs.StartSpan(ctx, "plan")
-		d, err := e.planner.Race(ctx, tree, req.Objective, req.K, req.Phi)
+		d := plan.Race(ctx, tree, *decision, req.Objective.Deadline, req.K, req.Phi)
 		endRace()
-		if err != nil {
-			return nil, &InfeasibleError{Err: err}
-		}
-		// A race that finished no candidate falls back to the a-priori
-		// winner already resolved above. Otherwise it oriented the
+		// A race that finished no candidate returns the a-priori
+		// decision already resolved above. Otherwise it oriented the
 		// winner on this instance; reuse that run instead of orienting
 		// a second time.
 		decision, guar = &d, d.Guarantee
@@ -460,14 +461,14 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 
 	// Every miss orients on its own goroutine under the flight context,
 	// so a large solve never queues a small one behind it, and a flight
-	// nobody waits for any more stops at the construction's next
+	// abandoned once it is orienting stops at the construction's next
 	// cancellation checkpoint. The channel is buffered so the orienter
 	// never blocks when the wait below is abandoned.
 	_, endOrient := obs.StartSpan(ctx, "orient")
 	resc := make(chan orientOutcome, 1)
 	go func() {
 		var out orientOutcome
-		out.asg, out.res, out.err = orienter.OrientCtx(ctx, tree, req.K, req.Phi)
+		out.asg, out.res, out.err = orienter.OrientCtx(octx, tree, req.K, req.Phi)
 		resc <- out
 	}()
 	select {

@@ -212,14 +212,14 @@ func TestSolveRejectsHugeK(t *testing.T) {
 	}
 }
 
-// orientSpan reports whether the trace has opened an "orient" span and
+// phaseSpan reports whether the trace has opened a span called name and
 // whether that span is still open. The flight context keeps its leading
-// caller's trace, so the span is open exactly while the flight's
-// orientation runs.
-func orientSpan(tr *obs.Trace) (started, open bool) {
+// caller's trace, so "emst" is open exactly while the flight builds its
+// tree and "orient" while its orientation runs.
+func phaseSpan(tr *obs.Trace, name string) (started, open bool) {
 	spans, _ := tr.Snapshot()
 	for _, sp := range spans {
-		if sp.Name == "orient" {
+		if sp.Name == name {
 			return true, sp.Dur < 0
 		}
 	}
@@ -230,7 +230,7 @@ func orientSpan(tr *obs.Trace) (started, open bool) {
 func waitForOrient(t *testing.T, tr *obs.Trace) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if started, _ := orientSpan(tr); started {
+		if started, _ := phaseSpan(tr, "orient"); started {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -268,11 +268,55 @@ func TestSmallMissNotBehindLargeSolve(t *testing.T) {
 	if err != nil || !sol.Verified {
 		t.Fatalf("small miss: err=%v verified=%v", err, sol != nil && sol.Verified)
 	}
-	if _, open := orientSpan(tr); !open {
+	if _, open := phaseSpan(tr, "orient"); !open {
 		t.Fatal("the large orientation finished before the small miss answered: the small miss queued behind it")
 	}
 	if err := <-bigDone; err != nil {
 		t.Fatalf("large solve: %v", err)
+	}
+}
+
+// TestMissAbandonedDuringBuildIsSalvaged: when the only caller of a miss
+// gives up while the flight is still building its EMST, the flight
+// orients anyway and the artifact is salvaged into the cache, so a retry
+// is a memory hit instead of another build abandoned under the same
+// deadline.
+func TestMissAbandonedDuringBuildIsSalvaged(t *testing.T) {
+	eng := NewEngine(Options{})
+	req := Request{Pts: uniformPts(holPoints(), 31), K: 2, Phi: 0, Algo: "tworay"}
+	tr := obs.NewTrace("build")
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+	defer cancel()
+	solveErr := make(chan error, 1)
+	go func() {
+		_, _, err := eng.Solve(ctx, req)
+		solveErr <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if started, _ := phaseSpan(tr, "emst"); started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the traced miss did not start its EMST build within 5s")
+		}
+	}
+	cancel()
+	if _, open := phaseSpan(tr, "emst"); !open {
+		t.Skip("the EMST build finished before the cancellation landed")
+	}
+	if err := <-solveErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned miss: err=%v, want context.Canceled", err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); eng.Metrics().Solves.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a miss abandoned during its EMST build was never salvaged into the cache")
+		}
+	}
+	if _, src, err := eng.Solve(context.Background(), req); err != nil || src != SourceMemory {
+		t.Fatalf("retry after salvage src=%v err=%v, want memory hit", src, err)
+	}
+	if n := eng.Metrics().Solves.Load(); n != 1 {
+		t.Fatalf("%d solves, want 1 — the retry must reuse the salvaged artifact", n)
 	}
 }
 
