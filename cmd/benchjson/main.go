@@ -25,8 +25,9 @@
 //
 // -check-fleet validates a fleetsim soak file: every row must decode
 // strictly (unknown fields rejected) against the fleet report schema
-// (fleet/v1 and fleet/v2 are accepted; v2 adds optional server-side
-// histogram summaries) — the CI gate that keeps BENCH_fleet.json
+// (fleet/v1 and fleet/v2 are accepted; a v2 row must carry the
+// server-side /orient histogram summary, which v1 rows predate) — the
+// CI gate that keeps BENCH_fleet.json
 // machine-readable as the format evolves.
 //
 // -check-scaling audits a baseline file's scaling series (benches named
@@ -77,9 +78,15 @@ func checkFleet(path string) error {
 		if err := dec.Decode(&rep); err != nil {
 			return fmt.Errorf("%s: row %d does not match the %s schema: %w", path, i, fleet.Schema, err)
 		}
-		// fleet/v1 rows predate the optional server-side stats and remain
-		// valid; v2 is the current writer.
-		if rep.Schema != fleet.Schema && rep.Schema != fleet.SchemaV1 {
+		// fleet/v1 rows predate the server-side stats and remain valid;
+		// every v2 writer fills at least the /orient view.
+		switch rep.Schema {
+		case fleet.SchemaV1:
+		case fleet.Schema:
+			if rep.Server == nil || rep.Server.Orient == nil {
+				return fmt.Errorf("%s: row %d is %s but has no server orient view", path, i, rep.Schema)
+			}
+		default:
 			return fmt.Errorf("%s: row %d has schema %q, want %q or %q", path, i, rep.Schema, fleet.Schema, fleet.SchemaV1)
 		}
 		if rep.Totals.Ops == 0 {

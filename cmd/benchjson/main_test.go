@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,5 +113,57 @@ func TestRecordWritesNothingOnError(t *testing.T) {
 	base, err := loadBaseline(path)
 	if err != nil || len(base.Benches) != 78 {
 		t.Fatalf("round trip: %d rows, err %v", len(base.Benches), err)
+	}
+}
+
+// TestCheckFleet: the committed trajectory (fleet/v1 rows without a
+// server block included) validates, and a fleet/v2 row must carry the
+// server-side /orient view.
+func TestCheckFleet(t *testing.T) {
+	committed := filepath.Join("..", "..", "BENCH_fleet.json")
+	if err := checkFleet(committed); err != nil {
+		t.Fatalf("committed BENCH_fleet.json: %v", err)
+	}
+	data, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	v1 := rows[0]
+	if v1["schema"] != "fleet/v1" || v1["server"] != nil {
+		t.Fatalf("first committed row is not a server-less fleet/v1 row: schema %v", v1["schema"])
+	}
+	orient := map[string]any{"count": 100, "p50_ms": 0.01, "p99_ms": 1}
+	for _, c := range []struct {
+		name   string
+		server any
+		ok     bool
+	}{
+		{"v2 without server", nil, false},
+		{"v2 without orient", map[string]any{"churn": orient}, false},
+		{"v2 with orient", map[string]any{"orient": orient}, true},
+	} {
+		row := make(map[string]any, len(v1)+1)
+		for k, v := range v1 {
+			row[k] = v
+		}
+		row["schema"] = "fleet/v2"
+		if c.server != nil {
+			row["server"] = c.server
+		}
+		out, err := json.Marshal([]any{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkFleet(path); (err == nil) != c.ok {
+			t.Errorf("%s: checkFleet err = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

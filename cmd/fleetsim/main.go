@@ -7,16 +7,9 @@
 // appended as one machine-readable row to BENCH_fleet.json
 // (validated by `benchjson -check-fleet`).
 //
-// Modes:
-//
-//	-mode inproc          drive service.Engine + instance.Manager in
-//	                      this process (the race-detector-friendly CI
-//	                      mode; kill cycles quiesce, close, and replay
-//	                      the WAL)
-//	-mode http -server U  drive a running antennad (no kill cycles)
-//	-mode http -antennad BIN -addr A -wal-dir D
-//	                      spawn antennad, SIGKILL it mid-soak, restart
-//	                      it over the same WAL
+// The engine and the instance manager run in this process, so
+// `go run -race` soaks the whole stack under the race detector; kill
+// cycles quiesce traffic, close the manager and replay its WAL.
 //
 // fleetsim exits non-zero when the soak saw unexpected errors, lost an
 // acknowledged revision across recovery, or recovered a deleted
@@ -38,26 +31,22 @@ import (
 
 func main() {
 	cfg := fleet.Config{}
-	flag.StringVar(&cfg.Mode, "mode", "inproc", "inproc | http")
 	flag.IntVar(&cfg.Instances, "instances", 256, "long-lived instances in the fleet")
 	flag.IntVar(&cfg.N, "n", 120, "sensors per instance and per orient request")
 	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "total traffic time, split across kill cycles")
 	flag.IntVar(&cfg.Workers, "workers", 16, "concurrent traffic generators")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "deterministic workload seed")
 	flag.Float64Var(&cfg.OpsPerSec, "ops-per-sec", 0, "global arrival rate; 0 = unthrottled")
-	flag.IntVar(&cfg.KillCycles, "kill-cycles", 1, "mid-soak kill/recover cycles (needs -wal-dir, or -antennad in http mode)")
+	flag.IntVar(&cfg.KillCycles, "kill-cycles", 1, "mid-soak kill/recover cycles (replays the -wal-dir WAL)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 0, "client-side orient inflight bound; excess is shed like a 429")
 	flag.IntVar(&cfg.StaleIfMatchPct, "stale-ifmatch-pct", 5, "percent of patches sent with a stale If-Match (expect 409)")
 	flag.IntVar(&cfg.ShortDeadlinePct, "short-deadline-pct", 2, "percent of ops run under -short-deadline (expect 503)")
 	flag.DurationVar(&cfg.Deadline, "deadline", 30*time.Second, "per-op deadline for normal traffic")
 	flag.DurationVar(&cfg.ShortDeadline, "short-deadline", 2*time.Millisecond, "injected tight deadline")
 	flag.IntVar(&cfg.History, "history", 4, "revisions retained per instance")
-	flag.StringVar(&cfg.WALDir, "wal-dir", "", "instance WAL root; empty = auto temp dir when kill cycles are on (inproc)")
-	flag.StringVar(&cfg.StoreDir, "store", "", "durable artifact store dir (inproc); empty disables the disk tier")
+	flag.StringVar(&cfg.WALDir, "wal-dir", "", "instance WAL root; empty = auto temp dir when kill cycles are on")
+	flag.StringVar(&cfg.StoreDir, "store", "", "durable artifact store dir; empty disables the disk tier")
 	flag.Int64Var(&cfg.StoreBytes, "store-max-bytes", 0, "disk store byte cap; 0 = default")
-	flag.StringVar(&cfg.ServerURL, "server", "", "http mode: base URL of a running antennad")
-	flag.StringVar(&cfg.AntennadBin, "antennad", "", "http mode: antennad binary to spawn/kill/restart")
-	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:18080", "http mode: listen address for -antennad")
 	out := flag.String("o", "BENCH_fleet.json", "append the run's row to this file; - = stdout only")
 	quiet := flag.Bool("q", false, "suppress progress lines")
 	flag.Parse()
@@ -69,7 +58,7 @@ func main() {
 	}
 	// Kill cycles need a WAL; default to a scratch one rather than
 	// silently degrading an explicitly requested crash soak.
-	if cfg.Mode == "inproc" && cfg.WALDir == "" && cfg.KillCycles > 0 {
+	if cfg.WALDir == "" && cfg.KillCycles > 0 {
 		dir, err := os.MkdirTemp("", "fleetsim-wal")
 		if err != nil {
 			fatal(err)
@@ -132,8 +121,8 @@ func appendRow(path string, rep *fleet.Report) error {
 
 // summarize prints the human-readable digest of the run.
 func summarize(rep *fleet.Report) {
-	fmt.Fprintf(os.Stderr, "fleetsim: %s mode, %d instances, %d workers, %.0fs\n",
-		rep.Config.Mode, rep.Config.Instances, rep.Config.Workers, rep.Config.DurationSec)
+	fmt.Fprintf(os.Stderr, "fleetsim: %d instances, %d workers, %.0fs\n",
+		rep.Config.Instances, rep.Config.Workers, rep.Config.DurationSec)
 	for _, ep := range []string{"orient", "create", "patch", "get", "delta", "delete"} {
 		st, ok := rep.Endpoints[ep]
 		if !ok || st.Count == 0 {

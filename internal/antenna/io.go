@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
 // jsonAssignment is the stable wire format: sensors with their sectors.
@@ -63,54 +62,3 @@ func ReadJSON(r io.Reader) (*Assignment, error) {
 	}
 	return a, nil
 }
-
-// WriteDOT emits the induced transmission digraph in Graphviz DOT format
-// with sensor positions as node attributes (pos is in points, usable with
-// neato -n).
-func (a *Assignment) WriteDOT(w io.Writer, name string) error {
-	if name == "" {
-		name = "antennae"
-	}
-	if _, err := fmt.Fprintf(w, "digraph %q {\n  node [shape=point];\n", name); err != nil {
-		return err
-	}
-	for i, p := range a.Pts {
-		if _, err := fmt.Fprintf(w, "  n%d [pos=\"%.4f,%.4f!\"];\n", i, p.X*72, p.Y*72); err != nil {
-			return err
-		}
-	}
-	g := a.InducedDigraph()
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Adj[u] {
-			if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", u, v); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
-// EqualDigraph reports whether two assignments induce the same digraph —
-// the round-trip invariant for serialization.
-func EqualDigraph(a, b *Assignment) bool {
-	if a.N() != b.N() {
-		return false
-	}
-	ga := a.InducedDigraph()
-	gb := b.InducedDigraph()
-	if ga.NumEdges() != gb.NumEdges() {
-		return false
-	}
-	for u := 0; u < ga.N; u++ {
-		for _, v := range ga.Adj[u] {
-			if !gb.HasEdge(u, v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Induced is a convenience alias used by external tooling.
-func Induced(a *Assignment) *graph.Digraph { return a.InducedDigraph() }

@@ -313,17 +313,6 @@ func RepairClass(algo string, k int, phi float64) string {
 	return ""
 }
 
-// EMSTLocalBudget reports whether the named orienter at budget (k, φ)
-// runs the full-cover construction, whose per-sensor sectors are a pure
-// function of that sensor's own EMST neighborhood (CoverSectors over the
-// tree-neighbor rays). That locality is what makes live-instance repair
-// exact (internal/instance): re-running the rule for just the sensors
-// whose EMST neighborhood changed reproduces the from-scratch assignment,
-// so a spliced revision verifies identically to a full solve.
-func EMSTLocalBudget(algo string, k int, phi float64) bool {
-	return RepairClass(algo, k, phi) == RepairClassEMST
-}
-
 // dispatchBranchFor returns the Table-1 branch for (k, φ); the tour
 // fallback matches everything.
 func dispatchBranchFor(k int, phi float64) table1Branch {

@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -139,16 +138,6 @@ func (r *Result) checkf(cond bool, format string, args ...any) {
 	if !cond {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 	}
-}
-
-// CaseKeys returns the observed case labels in sorted order.
-func (r *Result) CaseKeys() []string {
-	keys := make([]string, 0, len(r.Cases))
-	for k := range r.Cases {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // String renders a compact summary.

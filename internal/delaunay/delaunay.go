@@ -39,15 +39,9 @@ type Triangulation struct {
 
 // Edges returns the undirected Delaunay edges (u < v), sorted
 // lexicographically for determinism. The slice is cached at Build time;
-// callers must not mutate it (use EdgesInto for a private copy).
+// callers must not mutate it (append it to a slice of their own for a
+// private copy).
 func (t *Triangulation) Edges() [][2]int { return t.edges }
-
-// EdgesInto appends the undirected Delaunay edges (u < v, sorted
-// lexicographically) to dst and returns it. It performs no allocation
-// when dst has sufficient capacity.
-func (t *Triangulation) EdgesInto(dst [][2]int) [][2]int {
-	return append(dst, t.edges...)
-}
 
 // NumEdges returns the number of undirected Delaunay edges.
 func (t *Triangulation) NumEdges() int { return len(t.edges) }

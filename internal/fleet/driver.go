@@ -3,56 +3,52 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
 
+	"repro/internal/geom"
 	"repro/internal/instance"
+	"repro/internal/pointset"
+	"repro/internal/service"
+	"repro/internal/solution"
 )
 
-// The soak drives its traffic through a driver so the same mix,
-// oracle, and recovery audit run against either transport: the
-// in-process driver (service.Engine + instance.Manager in this
-// process — the -race-friendly mode CI soaks), or the HTTP driver
-// (a live antennad, optionally spawned and SIGKILLed by the harness).
-//
-// Drivers normalize transport errors onto the sentinels below so the
-// worker loop can classify outcomes without knowing the transport:
-// everything that is not a sentinel counts as unexpected — the soak's
-// failure signal.
+// The soak drives the whole stack in this process: a service.Engine
+// (both cache tiers, single-flight, negative cache) and an
+// instance.Manager solving through it, WAL-backed so kill/recover
+// cycles exercise real recovery. Because everything is in-process, a
+// -race build soaks the whole stack under the race detector, which is
+// how CI runs it.
 
-var (
-	// errConflict: stale If-Match (409) — expected for the injected
-	// contention slice.
-	errConflict = errors.New("fleet: revision conflict")
-	// errShed: the inflight bound refused the request (429).
-	errShed = errors.New("fleet: shed")
-	// errUnavailable: deadline expiry or drain (503) — expected for the
-	// injected short-deadline slice.
-	errUnavailable = errors.New("fleet: unavailable")
-	// errRace: benign lifecycle races under churn — not-found after a
-	// concurrent delete, exists during a concurrent re-create, evicted
-	// history behind a delta request.
-	errRace = errors.New("fleet: benign lifecycle race")
-)
-
-// classify maps a driver error onto the recorder's outcome vocabulary.
+// classify maps an engine or manager error onto the recorder's outcome
+// vocabulary: everything it does not name counts as unexpected, the
+// soak's failure signal.
 func classify(err error) outcome {
 	switch {
 	case err == nil:
 		return outcomeOK
-	case errors.Is(err, errConflict):
+	case errors.Is(err, instance.ErrConflict):
+		// Stale If-Match (409), expected for the injected contention slice.
 		return outcomeConflict
-	case errors.Is(err, errShed):
-		return outcomeShed
-	case errors.Is(err, errUnavailable):
-		return outcomeDeadline
-	case errors.Is(err, errRace):
+	case errors.Is(err, instance.ErrNotFound), errors.Is(err, instance.ErrExists),
+		errors.Is(err, instance.ErrEvicted):
+		// Benign lifecycle races under churn: not-found after a
+		// concurrent delete, exists during a concurrent re-create,
+		// evicted history behind a delta request.
 		return outcomeRace
+	case errors.Is(err, instance.ErrFull), errors.Is(err, instance.ErrDurability),
+		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// Deadline expiry or drain (503), expected for the injected
+		// short-deadline slice.
+		return outcomeDeadline
 	default:
 		return outcomeUnexpected
 	}
 }
 
 // genSpec asks for a generated deployment (mirrors the wire "gen"
-// object, so both drivers pose identical problems).
+// object, so the soak poses the problems a client would).
 type genSpec struct {
 	Workload string
 	N        int
@@ -62,54 +58,126 @@ type genSpec struct {
 	Algo     string
 }
 
-// instSpec describes an instance to create.
-type instSpec struct {
-	Gen genSpec
+// genPoints materializes a spec's deployment, identically to the
+// server's gen handling (same generator, same seeding).
+func genPoints(g genSpec) []geom.Point {
+	rng := rand.New(rand.NewSource(g.Seed))
+	return pointset.Workload(g.Workload, rng, g.N)
 }
 
-// driver is one transport for the soak's traffic.
-type driver interface {
-	// Orient solves a one-shot request; source is the X-Cache vocabulary
-	// (memory, disk, miss).
-	Orient(ctx context.Context, g genSpec) (source string, err error)
-	// Create builds a named instance and returns its first revision plus
-	// the materialized sensor count (generator families do not all honor
-	// N exactly — grid rounds to a square, star fields size by arm count
-	// — and mutation index bounds must follow the real count).
-	Create(ctx context.Context, id string, spec instSpec) (rev uint64, n int, err error)
-	// Patch applies a mutation batch; repair is the X-Repair vocabulary
-	// (incremental, full, none).
-	Patch(ctx context.Context, id string, ifMatch uint64, ops []instance.Op) (rev uint64, repair string, err error)
-	// Get reads the current revision.
-	Get(ctx context.Context, id string) (rev uint64, err error)
-	// Delta fetches the ADLT delta from rev to current.
-	Delta(ctx context.Context, id string, rev uint64) error
-	// Delete drops an instance.
-	Delete(ctx context.Context, id string) error
-	// Kill crashes the backend mid-soak (traffic is quiesced first) and
-	// Recover brings it back from its WAL, returning how many instances
-	// the restarted backend recovered.
-	Kill() error
-	Recover(ctx context.Context) (int, error)
-	// Close releases the driver (after the final audit).
-	Close() error
+// driver owns the engine and the instance manager the soak's traffic
+// runs against.
+type driver struct {
+	eng  *service.Engine
+	mcfg instance.Config
+
+	mu  sync.RWMutex
+	mgr *instance.Manager
 }
 
-// mapInstanceErr normalizes instance.Manager errors for the in-process
-// driver; the HTTP driver maps status codes onto the same sentinels.
-func mapInstanceErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, instance.ErrConflict):
-		return errConflict
-	case errors.Is(err, instance.ErrNotFound), errors.Is(err, instance.ErrExists),
-		errors.Is(err, instance.ErrEvicted):
-		return errRace
-	case errors.Is(err, instance.ErrFull), errors.Is(err, instance.ErrDurability),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return errUnavailable
-	default:
-		return err
+// newDriver wires the engine and a WAL-backed manager. The WAL policy
+// is SyncAlways so that the durable state at a kill equals the
+// acknowledged state — the recovery audit then demands exact revision
+// equality, not best-effort.
+func newDriver(cfg Config) (*driver, error) {
+	var store *solution.Store
+	if cfg.StoreDir != "" {
+		var err error
+		if store, err = solution.OpenStore(cfg.StoreDir, cfg.StoreBytes); err != nil {
+			return nil, fmt.Errorf("fleet: open store: %w", err)
+		}
 	}
+	eng := service.NewEngine(service.Options{Store: store})
+	mcfg := instance.Config{
+		Solve:        eng.InstanceSolver(),
+		History:      cfg.History,
+		MaxInstances: cfg.Instances + cfg.churnPool() + 64,
+	}
+	if cfg.WALDir != "" {
+		mcfg.WAL = &instance.WALConfig{Dir: cfg.WALDir, Policy: instance.SyncAlways}
+	}
+	return &driver{eng: eng, mcfg: mcfg, mgr: instance.NewManager(mcfg)}, nil
+}
+
+func (d *driver) manager() *instance.Manager {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.mgr
+}
+
+// Create builds a named instance and returns its first revision plus
+// the materialized sensor count (generator families do not all honor
+// N exactly — grid rounds to a square, star fields size by arm count —
+// and mutation index bounds must follow the real count).
+func (d *driver) Create(ctx context.Context, id string, g genSpec) (uint64, int, error) {
+	snap, err := d.manager().Create(ctx, id, genPoints(g), instance.Budget{K: g.K, Phi: g.Phi, Algo: g.Algo})
+	if err != nil {
+		return 0, 0, err
+	}
+	return snap.Rev, snap.Sol.N, nil
+}
+
+// Patch applies a mutation batch; repair is the X-Repair vocabulary
+// (incremental, full, none).
+func (d *driver) Patch(ctx context.Context, id string, ifMatch uint64, ops []instance.Op) (uint64, string, error) {
+	snap, err := d.manager().Apply(ctx, id, ifMatch, ops)
+	if err != nil {
+		return 0, "", err
+	}
+	return snap.Rev, snap.Repair, nil
+}
+
+// Get reads the current revision. Get, Delta and Delete take the
+// operation's context like the rest, so every operation draws from the
+// same deadline mix, though the manager serves them without blocking.
+func (d *driver) Get(ctx context.Context, id string) (uint64, error) {
+	snap, err := d.manager().Get(id, 0)
+	if err != nil {
+		return 0, err
+	}
+	return snap.Rev, nil
+}
+
+// Delta fetches the delta from rev to current.
+func (d *driver) Delta(ctx context.Context, id string, rev uint64) error {
+	_, err := d.manager().Delta(id, rev)
+	return err
+}
+
+// Delete drops an instance.
+func (d *driver) Delete(ctx context.Context, id string) error {
+	if !d.manager().Delete(id) {
+		return instance.ErrNotFound
+	}
+	return nil
+}
+
+// Kill closes the manager. Traffic is quiesced first by the runner;
+// under SyncAlways every acknowledged revision is already on stable
+// storage, so the WAL left behind is exactly what a SIGKILL at this
+// moment would leave.
+func (d *driver) Kill() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.mgr.Close()
+}
+
+// Recover builds a fresh manager over the same WAL root and replays
+// it, as a restarted process would, returning how many instances it
+// recovered.
+func (d *driver) Recover(ctx context.Context) (int, error) {
+	m := instance.NewManager(d.mcfg)
+	n, err := m.Recover(ctx)
+	if err != nil {
+		return n, err
+	}
+	d.mu.Lock()
+	d.mgr = m
+	d.mu.Unlock()
+	return n, nil
+}
+
+// Close releases the manager (after the final audit).
+func (d *driver) Close() error {
+	return d.manager().Close()
 }

@@ -6,9 +6,10 @@
 // churn, and mid-soak kill/recover cycles that exercise WAL recovery —
 // and distills the run into a machine-readable Report (BENCH_fleet.json
 // row): p50/p99/p999 latency per endpoint, 409/429/503 rates, cache and
-// repair hit ratios, and recovery-correctness counts. The same mix runs
-// in-process (under the race detector, the CI mode) or against a live
-// antennad over HTTP.
+// repair hit ratios, and recovery-correctness counts. The engine and the
+// instance manager run in this process, so a -race build soaks the
+// whole stack under the race detector; the wire path and a real SIGKILL
+// are the benchmark's job (bench/).
 package fleet
 
 import (
@@ -24,15 +25,12 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/instance"
 	"repro/internal/pointset"
+	"repro/internal/service"
 )
 
 // Config shapes a soak run. The zero value is not runnable; Defaults
 // are applied by Run (documented per field).
 type Config struct {
-	// Mode selects the transport: "inproc" (default; runs the engine and
-	// instance manager in this process, race-detector friendly) or
-	// "http" (drives a live antennad).
-	Mode string
 	// Instances sizes the long-lived fleet (default 64).
 	Instances int
 	// N is the sensor count per instance and per orient request
@@ -49,10 +47,12 @@ type Config struct {
 	// OpsPerSec throttles the global arrival rate; 0 = unthrottled.
 	OpsPerSec float64
 	// KillCycles is how many mid-soak kill/recover cycles run (default 1;
-	// 0 disables; requires WALDir in inproc mode, AntennadBin in http).
+	// 0 disables). Each closes the instance manager with traffic
+	// quiesced and replays its WAL into a fresh one, so cycles need
+	// WALDir; without it the soak runs none.
 	KillCycles int
 	// MaxInflight bounds concurrently in-flight orient calls on the
-	// driver side, shedding the excess like the server's 429 path
+	// client side, shedding the excess like the server's 429 path
 	// (0 = unbounded).
 	MaxInflight int
 	// StaleIfMatchPct is the percentage of patches sent with a
@@ -73,20 +73,13 @@ type Config struct {
 	// (defaults 20/40/20/15/5). WChurn is delete + re-create of the same
 	// id — the lifecycle race soak.
 	WOrient, WPatch, WGet, WDelta, WChurn int
-	// WALDir roots the instance WAL (inproc mode; empty disables
-	// durability and kill cycles).
+	// WALDir roots the instance WAL (empty disables durability and kill
+	// cycles).
 	WALDir string
-	// StoreDir roots the durable artifact store (inproc; empty = memory
-	// cache only). StoreBytes caps it (0 = solution.DefaultStoreBytes).
+	// StoreDir roots the durable artifact store (empty = memory cache
+	// only). StoreBytes caps it (0 = solution.DefaultStoreBytes).
 	StoreDir   string
 	StoreBytes int64
-	// ServerURL targets an already-running antennad (http mode).
-	ServerURL string
-	// AntennadBin, when set in http mode, makes the harness spawn
-	// antennad itself (listening on Addr, WAL under WALDir) so kill
-	// cycles can SIGKILL and restart it.
-	AntennadBin string
-	Addr        string
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -100,9 +93,6 @@ func (c Config) churnPool() int {
 }
 
 func (c *Config) defaults() {
-	if c.Mode == "" {
-		c.Mode = "inproc"
-	}
 	if c.Instances <= 0 {
 		c.Instances = 64
 	}
@@ -162,7 +152,7 @@ func churnID(i int) string { return fmt.Sprintf("churn-%03d", i) }
 // run carries one soak's moving parts.
 type run struct {
 	cfg   Config
-	drv   driver
+	drv   *driver
 	acks  map[string]*oracle
 	seen  map[string]map[uint64]bool // fleet ids: patch revs already acked (duplicate = monotonicity break)
 	seenM sync.Mutex
@@ -181,16 +171,7 @@ type run struct {
 // whole run: cancelling it stops traffic at the next operation.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.defaults()
-	var drv driver
-	var err error
-	switch cfg.Mode {
-	case "inproc":
-		drv, err = newInprocDriver(cfg)
-	case "http":
-		drv, err = newHTTPDriver(cfg)
-	default:
-		return nil, fmt.Errorf("fleet: unknown mode %q", cfg.Mode)
-	}
+	drv, err := newDriver(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := r.report(recs, elapsed)
-	r.attachServerStats(ctx, rep)
+	r.attachServerStats(rep)
 	rep.Runtime = sampler.Stop()
 	return rep, nil
 }
@@ -241,7 +222,7 @@ func (r *run) soak(ctx context.Context) ([]*recorder, time.Duration, error) {
 		return nil, 0, err
 	}
 	cycles := cfg.KillCycles
-	if cycles > 0 && cfg.Mode == "inproc" && cfg.WALDir == "" {
+	if cycles > 0 && cfg.WALDir == "" {
 		r.cfg.Logf("fleet: no -wal-dir; kill cycles disabled")
 		cycles = 0
 	}
@@ -288,11 +269,11 @@ func (r *run) buildFleet(ctx context.Context, recs []*recorder) error {
 					id = churnID(i - cfg.Instances)
 				}
 				k, phi, algo := budgetFor(i)
-				spec := instSpec{Gen: genSpec{
+				spec := genSpec{
 					Workload: names[i%len(names)], N: cfg.N,
 					Seed: cfg.Seed*1_000_000 + int64(i),
 					K:    k, Phi: phi, Algo: algo,
-				}}
+				}
 				opCtx, cancel := context.WithTimeout(ctx, cfg.Deadline)
 				t0 := time.Now()
 				rev, n, err := r.drv.Create(opCtx, id, spec)
@@ -409,15 +390,18 @@ func (r *run) doOrient(ctx context.Context, rec *recorder, rng *rand.Rand) {
 		k, phi, algo := budgetFor(rng.Intn(4))
 		g = genSpec{Workload: names[rng.Intn(len(names))], N: cfg.N, Seed: r.freshSeed.Add(1), K: k, Phi: phi, Algo: algo}
 	}
+	// The deployment is built before the clock starts, so the client
+	// times the same Solve call the engine's /orient histograms observe.
+	req := service.Request{Pts: genPoints(g), K: g.K, Phi: g.Phi, Algo: g.Algo}
 	opCtx, cancel, short := r.opCtx(ctx, rng)
 	defer cancel()
 	t0 := time.Now()
-	src, err := r.drv.Orient(opCtx, g)
+	_, src, err := r.drv.eng.Solve(opCtx, req)
 	if err == nil {
 		switch src {
-		case "memory":
+		case service.SourceMemory:
 			rec.cacheMem++
-		case "disk":
+		case service.SourceDisk:
 			rec.cacheDisk++
 		default:
 			rec.cacheMiss++
@@ -527,11 +511,11 @@ func (r *run) doChurn(ctx context.Context, rec *recorder, rng *rand.Rand) {
 
 	k, phi, algo := budgetFor(i)
 	names := pointset.WorkloadNames()
-	spec := instSpec{Gen: genSpec{
+	spec := genSpec{
 		Workload: names[i%len(names)], N: r.cfg.N,
 		Seed: r.cfg.Seed*1_000_000 + int64(r.cfg.Instances+i),
 		K:    k, Phi: phi, Algo: algo,
-	}}
+	}
 	opCtx, cancel, short = r.opCtx(ctx, rng)
 	t0 = time.Now()
 	rev, n, err := r.drv.Create(opCtx, id, spec)
@@ -628,7 +612,7 @@ func (r *run) report(recs []*recorder, elapsed time.Duration) *Report {
 		GoMaxProc: runtime.GOMAXPROCS(0),
 		Race:      raceEnabled,
 		Config: ReportConfig{
-			Mode: cfg.Mode, Instances: cfg.Instances, SensorsPerInst: cfg.N,
+			Mode: "inproc", Instances: cfg.Instances, SensorsPerInst: cfg.N,
 			DurationSec: cfg.Duration.Seconds(), Workers: cfg.Workers, Seed: cfg.Seed,
 			KillCycles: r.recovery.Cycles, MaxInflight: cfg.MaxInflight,
 			StaleIfMatchPct: cfg.StaleIfMatchPct, ShortDeadlinePct: cfg.ShortDeadlinePct,
@@ -645,7 +629,7 @@ func (r *run) report(recs []*recorder, elapsed time.Duration) *Report {
 
 // walSyncName reports the durability policy the soak ran under.
 func walSyncName(cfg Config) string {
-	if cfg.Mode == "inproc" && cfg.WALDir == "" {
+	if cfg.WALDir == "" {
 		return "none"
 	}
 	return string(instance.SyncAlways)

@@ -76,6 +76,19 @@ func TestSoakInprocKillRecover(t *testing.T) {
 	if rep.Repair.Incremental+rep.Repair.Full == 0 {
 		t.Errorf("patches recorded no repairs")
 	}
+	// The server view counts exactly the engine's /orient answers:
+	// instance creates and full-solve repairs go through the engine too,
+	// but must not land in it.
+	if sv := rep.Server; sv == nil || sv.Orient == nil || sv.Churn == nil {
+		t.Errorf("server view lacks orient or churn: %+v", sv)
+	} else {
+		if n, client := sv.Orient.Count, rep.Endpoints["orient"].Count; n == 0 || n > client {
+			t.Errorf("server orient count %d, want in (0, %d] (client orients)", n, client)
+		}
+		if sv.Churn.Count == 0 {
+			t.Errorf("server churn view observed nothing")
+		}
+	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report does not marshal: %v", err)
 	}

@@ -43,10 +43,9 @@ type Report struct {
 	// validate.
 	Runtime *RuntimeStats `json:"runtime,omitempty"`
 
-	// Server holds the backend's own latency histograms scraped after
-	// the run (fleet/v2), next to the client-observed latencies above;
-	// nil when the driver cannot read them (e.g. http mode against a
-	// server without /metrics access). v1 rows predate the field.
+	// Server holds the backend's own latency histograms read after the
+	// run (fleet/v2), next to the client-observed latencies above. Every
+	// v2 writer fills it; v1 rows predate the field.
 	Server *ServerStats `json:"server,omitempty"`
 
 	// UnexpectedSamples holds up to 8 of the run's unexpected failures,
@@ -57,6 +56,8 @@ type Report struct {
 // ReportConfig echoes the knobs that shaped the run, so a trajectory
 // of rows stays interpretable.
 type ReportConfig struct {
+	// Mode is always "inproc"; it stays so rows written when the soak
+	// also had an HTTP transport keep decoding strictly.
 	Mode             string  `json:"mode"`
 	Instances        int     `json:"instances"`
 	SensorsPerInst   int     `json:"sensors_per_instance"`
@@ -247,7 +248,7 @@ func ratio(part, whole uint64) float64 {
 }
 
 // oracle is the soak's acknowledgment ledger for one instance id: the
-// highest revision a driver call acknowledged and whether the id's
+// highest revision a call acknowledged and whether the id's
 // last acknowledged lifecycle operation left it live. The recovery
 // audit replays this ledger against the restarted backend.
 type oracle struct {

@@ -1,16 +1,14 @@
 package fleet
 
-// Server-side latency view (fleet/v2): after the soak, the driver reads
-// the backend's own latency histograms — the in-process driver straight
-// from the engine/manager metrics, the HTTP driver by scraping /metrics
-// — and the report places their quantiles next to the client-observed
-// ones. The two views measure the same operations from opposite ends of
-// the transport, so a large disagreement (client p50 more than 2x off
-// the server p50, in either direction) flags a measurement or transport
-// problem; the check only fires once both sides have enough samples.
+// Server-side latency view (fleet/v2): after the soak, the report reads
+// the engine's and the manager's own latency histograms and places
+// their quantiles next to the client-observed ones. The two views
+// measure the same operations from opposite ends of the call, so a
+// large disagreement (client p50 more than 2x off the server p50, in
+// either direction) flags a measurement problem; the check only fires
+// once both sides have enough samples.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -20,9 +18,9 @@ import (
 // ServerStats is the backend's own latency view of the soak.
 type ServerStats struct {
 	// Orient merges the hit and solve histograms — every /orient the
-	// server completed. Churn is the instance revision latency (the
-	// PATCH path), Repair the incremental-repair slice of it, WALSync
-	// the fsync distribution.
+	// engine answered; instance solves stay out of it. Churn is the
+	// instance revision latency (the PATCH path), Repair the
+	// incremental-repair slice of it, WALSync the fsync distribution.
 	Orient  *ServerDist `json:"orient,omitempty"`
 	Churn   *ServerDist `json:"churn,omitempty"`
 	Repair  *ServerDist `json:"repair,omitempty"`
@@ -39,12 +37,6 @@ type ServerDist struct {
 	Count uint64  `json:"count"`
 	P50ms float64 `json:"p50_ms"`
 	P99ms float64 `json:"p99_ms"`
-}
-
-// serverMetrics is the optional driver capability behind fleet/v2:
-// histogram snapshots keyed hit/solve/churn/repair/wal_sync.
-type serverMetrics interface {
-	ServerMetrics(ctx context.Context) (map[string]obs.HistogramSnapshot, error)
 }
 
 // serverDist renders one snapshot, or nil when it holds no samples.
@@ -85,32 +77,23 @@ func disagreement(label string, clientCount uint64, clientP50ms float64, d *Serv
 	return fmt.Sprintf("%s: client p50 %.3fms vs server p50 %.3fms (>2x apart)", label, clientP50ms, d.P50ms)
 }
 
-// attachServerStats fills Report.Server from the driver's histogram
-// snapshots, when the driver has the capability; failures log and leave
-// the field nil rather than failing a finished soak.
-func (r *run) attachServerStats(ctx context.Context, rep *Report) {
-	sm, ok := r.drv.(serverMetrics)
-	if !ok {
-		return
-	}
-	snaps, err := sm.ServerMetrics(ctx)
+// attachServerStats fills Report.Server from the engine's and the
+// manager's histograms. The manager's live on the manager a
+// kill/recover cycle replaces, so in killed runs the churn figures
+// cover the final phase only; the engine's survive the run.
+func (r *run) attachServerStats(rep *Report) {
+	em := r.drv.eng.Metrics()
+	im := r.drv.manager().Metrics()
+	orient, err := em.SolveSeconds.Snapshot().Merge(em.HitSeconds.Snapshot())
 	if err != nil {
-		r.cfg.Logf("fleet: server metrics unavailable: %v", err)
-		return
+		r.cfg.Logf("fleet: cannot merge hit+solve histograms: %v", err)
 	}
-	st := &ServerStats{}
-	orient := snaps["solve"]
-	if hit, okh := snaps["hit"]; okh {
-		if merged, err := orient.Merge(hit); err == nil {
-			orient = merged
-		} else {
-			r.cfg.Logf("fleet: cannot merge hit+solve histograms: %v", err)
-		}
+	st := &ServerStats{
+		Orient:  serverDist(orient),
+		Churn:   serverDist(im.ChurnSeconds.Snapshot()),
+		Repair:  serverDist(im.RepairSeconds.Snapshot()),
+		WALSync: serverDist(im.WALSyncSeconds.Snapshot()),
 	}
-	st.Orient = serverDist(orient)
-	st.Churn = serverDist(snaps["churn"])
-	st.Repair = serverDist(snaps["repair"])
-	st.WALSync = serverDist(snaps["wal_sync"])
 
 	for _, c := range []struct {
 		label  string

@@ -87,12 +87,6 @@ func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 // Norm returns the Euclidean length of v.
 func (v Vec) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
-// Norm2 returns the squared length of v.
-func (v Vec) Norm2() float64 { return v.X*v.X + v.Y*v.Y }
-
-// Angle returns the direction of v normalized into [0, 2π).
-func (v Vec) Angle() float64 { return NormAngle(math.Atan2(v.Y, v.X)) }
-
 // Unit returns v scaled to unit length. The zero vector is returned
 // unchanged.
 func (v Vec) Unit() Vec {
@@ -101,11 +95,6 @@ func (v Vec) Unit() Vec {
 		return v
 	}
 	return Vec{v.X / n, v.Y / n}
-}
-
-// PolarVec returns the unit vector pointing in direction theta.
-func PolarVec(theta float64) Vec {
-	return Vec{math.Cos(theta), math.Sin(theta)}
 }
 
 // Polar returns the point at distance r from origin o in direction theta.

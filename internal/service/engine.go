@@ -270,9 +270,28 @@ func (e *Engine) Plan(obj plan.Objective, k int, phi float64) (plan.Decision, er
 // runs and every caller shares its artifact. The context is honored at
 // every stage — an expired deadline returns promptly with ctx.Err()
 // instead of orienting.
+//
+// Each successful call is observed once, by the tier that served it:
+// SolveSeconds for a computed miss (coalesced callers included),
+// HitSeconds for either cache tier. Those two histograms are therefore
+// the server's /orient latency view; instance solves go through solve
+// and stay out of it.
 func (e *Engine) Solve(ctx context.Context, req Request) (*solution.Solution, CacheSource, error) {
-	e.metrics.Requests.Add(1)
 	start := time.Now()
+	sol, src, err := e.solve(ctx, req)
+	if err == nil {
+		h := e.metrics.SolveSeconds
+		if src.Hit() {
+			h = e.metrics.HitSeconds
+		}
+		h.ObserveDuration(time.Since(start))
+	}
+	return sol, src, err
+}
+
+// solve is Solve without the latency observation.
+func (e *Engine) solve(ctx context.Context, req Request) (*solution.Solution, CacheSource, error) {
+	e.metrics.Requests.Add(1)
 	if err := validate(req); err != nil {
 		return nil, SourceMiss, err
 	}
@@ -289,7 +308,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*solution.Solution, Ca
 	sol, ok := e.cache.Get(key)
 	endCache()
 	if ok {
-		e.metrics.HitSeconds.ObserveDuration(time.Since(start))
 		return sol, SourceMemory, nil
 	}
 	if e.store != nil {
@@ -298,7 +316,6 @@ func (e *Engine) Solve(ctx context.Context, req Request) (*solution.Solution, Ca
 		endStore()
 		if ok {
 			e.cache.Put(key, sol) // promote to L1
-			e.metrics.HitSeconds.ObserveDuration(time.Since(start))
 			return sol, SourceDisk, nil
 		}
 	}
@@ -409,7 +426,6 @@ func (e *Engine) leave(f *flight) {
 // on the salvage path, so a deadline shorter than the build does not
 // leave every retry rebuilding the tree for nothing.
 func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (*solution.Solution, error) {
-	t0 := time.Now()
 	_, endPlan := obs.StartSpan(ctx, "plan")
 	algo, decision, err := e.selectAlgo(req)
 	endPlan()
@@ -453,9 +469,7 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		// a second time.
 		decision, guar = &d, d.Guarantee
 		if d.WinnerAsg != nil {
-			sol := e.finish(ctx, req, key, decision, guar, d.WinnerAsg, d.WinnerRes, lmax)
-			e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
-			return sol, nil
+			return e.finish(ctx, req, key, decision, guar, d.WinnerAsg, d.WinnerRes, lmax), nil
 		}
 	}
 
@@ -490,9 +504,7 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 			e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
 			return nil, err
 		}
-		sol := e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
-		e.metrics.SolveSeconds.ObserveDuration(time.Since(t0))
-		return sol, nil
+		return e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax), nil
 	case <-ctx.Done():
 		endOrient()
 		// The caller is unblocked now; salvage the abandoned solve when

@@ -32,10 +32,11 @@ import (
 // Semantics are documented in docs/OPERATIONS.md ("Instances & churn").
 
 // InstanceSolver adapts the engine's full solve path to the instance
-// manager's SolveFunc.
+// manager's SolveFunc. It skips Solve's latency histograms, so they
+// count /orient requests only; the manager times revisions itself.
 func (e *Engine) InstanceSolver() instance.SolveFunc {
 	return func(ctx context.Context, pts []geom.Point, b instance.Budget) (*solution.Solution, error) {
-		sol, _, err := e.Solve(ctx, Request{Pts: pts, K: b.K, Phi: b.Phi, Algo: b.Algo, Objective: b.Objective})
+		sol, _, err := e.solve(ctx, Request{Pts: pts, K: b.K, Phi: b.Phi, Algo: b.Algo, Objective: b.Objective})
 		return sol, err
 	}
 }

@@ -27,10 +27,11 @@ type Metrics struct {
 	// (each answered 500; the process stays up).
 	Panics atomic.Uint64
 
-	// SolveSeconds distributes end-to-end miss latency (plan through
-	// cache fill); HitSeconds the latency of requests served by either
-	// cache tier; SolvePoints the instance sizes actually solved. All
-	// share the obs bucket layouts so fleet reports can merge them.
+	// SolveSeconds distributes the end-to-end latency of /orient
+	// requests answered by a computed miss (cache lookup through fill);
+	// HitSeconds that of /orient requests served by either cache tier;
+	// SolvePoints the instance sizes actually solved. All share the obs
+	// bucket layouts so fleet reports can merge them.
 	SolveSeconds *obs.Histogram
 	HitSeconds   *obs.Histogram
 	SolvePoints  *obs.Histogram
@@ -97,10 +98,10 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 			return err
 		}
 	}
-	if err := m.SolveSeconds.Write(w, "antennad_solve_seconds", "end-to-end latency of computed (miss) solves"); err != nil {
+	if err := m.SolveSeconds.Write(w, "antennad_solve_seconds", "latency of /orient requests answered by a computed solve"); err != nil {
 		return err
 	}
-	if err := m.HitSeconds.Write(w, "antennad_hit_seconds", "latency of requests served by a cache tier"); err != nil {
+	if err := m.HitSeconds.Write(w, "antennad_hit_seconds", "latency of /orient requests served by a cache tier"); err != nil {
 		return err
 	}
 	return m.SolvePoints.Write(w, "antennad_solve_points", "instance sizes (points) of computed solves")
