@@ -2,6 +2,8 @@ package instance_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -218,6 +220,26 @@ func TestWALCompaction(t *testing.T) {
 		t.Fatalf("recovered rev=%v err=%v, want rev=%d", got, err, last.Rev)
 	}
 	m2.Close()
+}
+
+// The snapshot a durable manager writes on Create is pinned byte for
+// byte: the WAL codec may be refactored, its on-disk bytes may not move.
+func TestWALSnapshotGolden(t *testing.T) {
+	dir := t.TempDir()
+	m := walManagerAt(dir, instance.SyncAlways, nil)
+	defer m.Close()
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 1.5, Y: 0.25}, {X: -2, Y: 3}, {X: 4, Y: -0.5}}
+	if _, err := m.Create(context.Background(), "golden", pts, fakeBudget()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(filepath.Dir(walFile(t, dir)), "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "2ba775961332b0e9a21461032f544b52d6c0f910a4fe4a53461446d061153127"; got != want {
+		t.Fatalf("snapshot: sha256 %s, want %s (%d bytes)", got, want, len(data))
+	}
 }
 
 // A WAL append that fails (ENOSPC) must not acknowledge the batch: the
