@@ -10,16 +10,14 @@ package instance
 // record by truncating at the last valid checksum, and re-solves each
 // instance through the full engine path so the recovered artifact is
 // re-verified. Layouts are specified in internal/solution/WIRE_FORMAT.md
-// next to the artifact and delta codecs they reuse conventions from.
+// next to the artifact and delta formats, whose writer and reader they
+// share.
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -350,14 +348,7 @@ func (wm *walManager) remove(id string, iw *instWAL) {
 // regardless of the log's sync policy — a compaction that truncated the
 // log against a non-durable snapshot would lose every revision.
 func (wm *walManager) writeSnapshot(dir, id string, rev uint64, b Budget, pts []geom.Point, sol *solution.Solution) error {
-	payload := encodeWALSnapshotPayload(id, rev, b, pts, artifactDigest(sol), sol.Verified)
-	data := make([]byte, 0, 13+len(payload))
-	data = append(data, walSnapshotMagic[:]...)
-	data = append(data, walSnapshotVersion)
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
-	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(payload, walCRC))
-	data = append(data, payload...)
-
+	data := encodeWALSnapshot(walSnapshot{id: id, rev: rev, budget: b, pts: pts, artifactDigest: artifactDigest(sol), verified: sol.Verified})
 	tmp, err := wm.fs.CreateTemp(dir, ".snap-*")
 	if err != nil {
 		return err
@@ -386,6 +377,11 @@ func artifactDigest(sol *solution.Solution) string {
 }
 
 // --- codec -----------------------------------------------------------
+//
+// Both files are written with solution.Writer and read with
+// solution.Reader, the codec of the artifact and the ADLT delta, and a
+// batch uses the delta's op layout. A log record and the snapshot body
+// share one frame: u32 payload length, u32 CRC32C, payload.
 
 // walRecord is one logged Apply: the batch, the revision it produced,
 // and the digest + verification verdict the publication acknowledged.
@@ -406,138 +402,51 @@ type walSnapshot struct {
 	verified       bool
 }
 
-// walBuf accumulates the little-endian payload encoding shared by
-// records and snapshots (the conventions of the solution codecs,
-// re-rolled here because those helpers are package-internal).
-type walBuf struct{ buf bytes.Buffer }
-
-func (w *walBuf) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *walBuf) u16(v uint16) { w.buf.Write(binary.LittleEndian.AppendUint16(nil, v)) }
-func (w *walBuf) u32(v uint32) { w.buf.Write(binary.LittleEndian.AppendUint32(nil, v)) }
-func (w *walBuf) u64(v uint64) { w.buf.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-func (w *walBuf) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *walBuf) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
-}
-func (w *walBuf) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// walParser is the error-accumulating reader over one payload.
-type walParser struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *walParser) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.err = fmt.Errorf("instance: truncated wal payload at offset %d (+%d of %d)", r.off, n, len(r.data))
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *walParser) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (r *walParser) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-func (r *walParser) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (r *walParser) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (r *walParser) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *walParser) str() string {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.data)-r.off {
-		if r.err == nil {
-			r.err = fmt.Errorf("instance: wal string length %d exceeds remaining %d bytes", n, len(r.data)-r.off)
-		}
-		return ""
-	}
-	return string(r.take(n))
-}
-func (r *walParser) boolean() bool { return r.u8() != 0 }
-
-// encodeWALRecord frames one record: u32 payload length, u32 CRC32C,
+// writeFrame appends payload as one frame: u32 length, u32 CRC32C,
 // payload.
-func encodeWALRecord(rec walRecord) []byte {
-	var w walBuf
-	w.u8(walRecApply)
-	w.u64(rec.rev)
-	w.u32(uint32(len(rec.ops)))
-	for _, op := range rec.ops {
-		w.u8(uint8(op.Op))
-		w.u32(uint32(op.Index))
-		w.f64(op.X)
-		w.f64(op.Y)
+func writeFrame(w *solution.Writer, payload []byte) {
+	w.U32(uint32(len(payload)))
+	w.U32(crc32.Checksum(payload, walCRC))
+	w.Raw(payload)
+}
+
+// unframe splits one frame off the front of data, returning its payload
+// and the bytes after it; it fails on a truncated frame or a checksum
+// mismatch.
+func unframe(data []byte) (payload, rest []byte, err error) {
+	r := solution.NewReader(data)
+	n, sum := int(r.U32()), r.U32()
+	payload = r.Take(n)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
-	w.str(rec.digest)
-	w.boolean(rec.verified)
-	payload := w.buf.Bytes()
-	out := make([]byte, 0, walRecordHeader+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, walCRC))
-	return append(out, payload...)
+	if crc32.Checksum(payload, walCRC) != sum {
+		return nil, nil, fmt.Errorf("instance: wal frame checksum mismatch")
+	}
+	return payload, data[walRecordHeader+n:], nil
+}
+
+// encodeWALRecord frames one record.
+func encodeWALRecord(rec walRecord) []byte {
+	var p, w solution.Writer
+	p.U8(walRecApply)
+	p.U64(rec.rev)
+	p.Ops(rec.ops)
+	p.Str(rec.digest)
+	p.Bool(rec.verified)
+	writeFrame(&w, p.Bytes())
+	return w.Bytes()
 }
 
 // decodeWALRecordPayload parses one checksummed payload.
 func decodeWALRecordPayload(payload []byte) (walRecord, error) {
-	r := &walParser{data: payload}
-	kind := r.u8()
-	if r.err == nil && kind != walRecApply {
+	r := solution.NewReader(payload)
+	if kind := r.U8(); r.Err() == nil && kind != walRecApply {
 		return walRecord{}, fmt.Errorf("instance: unknown wal record kind %d", kind)
 	}
-	rec := walRecord{rev: r.u64()}
-	n := int(r.u32())
-	if r.err == nil && n > (len(payload)-r.off)/21 {
-		return walRecord{}, fmt.Errorf("instance: wal op count %d exceeds remaining bytes", n)
-	}
-	if r.err == nil && n > 0 {
-		rec.ops = make([]Op, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			rec.ops[i] = Op{Op: solution.OpKind(r.u8()), Index: int(r.u32()), X: r.f64(), Y: r.f64()}
-		}
-	}
-	rec.digest = r.str()
-	rec.verified = r.boolean()
-	if r.err != nil {
-		return walRecord{}, r.err
-	}
-	if r.off != len(payload) {
-		return walRecord{}, fmt.Errorf("instance: %d trailing bytes in wal record", len(payload)-r.off)
+	rec := walRecord{rev: r.U64(), ops: r.Ops(), digest: r.Str(), verified: r.Bool()}
+	if err := r.Done(); err != nil {
+		return walRecord{}, err
 	}
 	return rec, nil
 }
@@ -546,61 +455,54 @@ func decodeWALRecordPayload(payload []byte) (walRecord, error) {
 // valid prefix, the prefix length, and whether a torn tail (truncated
 // or checksum-failed final bytes) was cut off.
 func parseWALRecords(data []byte) (recs []walRecord, validLen int64, torn bool) {
-	off := 0
-	for {
-		if off == len(data) {
-			return recs, int64(off), false
-		}
-		if len(data)-off < walRecordHeader {
-			return recs, int64(off), true
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n < 0 || off+walRecordHeader+n > len(data) {
-			return recs, int64(off), true
-		}
-		payload := data[off+walRecordHeader : off+walRecordHeader+n]
-		if crc32.Checksum(payload, walCRC) != sum {
-			return recs, int64(off), true
+	for rest := data; len(rest) > 0; {
+		payload, next, err := unframe(rest)
+		if err != nil {
+			return recs, validLen, true
 		}
 		rec, err := decodeWALRecordPayload(payload)
 		if err != nil {
 			// The checksum held but the payload is malformed — a foreign
 			// or future record. Cut here; everything after is untrusted.
-			return recs, int64(off), true
+			return recs, validLen, true
 		}
 		recs = append(recs, rec)
-		off += walRecordHeader + n
+		validLen += int64(len(rest) - len(next))
+		rest = next
 	}
+	return recs, validLen, false
 }
 
-// encodeWALSnapshotPayload serializes the snapshot body (the envelope
-// is added by writeSnapshot).
-func encodeWALSnapshotPayload(id string, rev uint64, b Budget, pts []geom.Point, artDigest string, verified bool) []byte {
-	var w walBuf
-	w.str(id)
-	w.u64(rev)
-	w.u16(uint16(b.K))
-	w.f64(b.Phi)
-	w.str(b.Algo)
-	w.u8(uint8(b.Objective.Conn))
-	w.u8(uint8(b.Objective.Minimize))
-	w.u16(uint16(b.Objective.StrongC))
-	w.u64(uint64(b.Objective.Deadline))
-	w.u32(uint32(len(pts)))
-	for _, p := range pts {
-		w.f64(p.X)
-		w.f64(p.Y)
+// encodeWALSnapshot serializes a snapshot file: magic, version, and the
+// payload as one frame.
+func encodeWALSnapshot(s walSnapshot) []byte {
+	var p, w solution.Writer
+	p.Str(s.id)
+	p.U64(s.rev)
+	p.U16(uint16(s.budget.K))
+	p.F64(s.budget.Phi)
+	p.Str(s.budget.Algo)
+	p.U8(uint8(s.budget.Objective.Conn))
+	p.U8(uint8(s.budget.Objective.Minimize))
+	p.U16(uint16(s.budget.Objective.StrongC))
+	p.U64(uint64(s.budget.Objective.Deadline))
+	p.U32(uint32(len(s.pts)))
+	for _, pt := range s.pts {
+		p.F64(pt.X)
+		p.F64(pt.Y)
 	}
-	w.str(artDigest)
-	w.boolean(verified)
-	return w.buf.Bytes()
+	p.Str(s.artifactDigest)
+	p.Bool(s.verified)
+	w.Raw(walSnapshotMagic[:])
+	w.U8(walSnapshotVersion)
+	writeFrame(&w, p.Bytes())
+	return w.Bytes()
 }
 
 // decodeWALSnapshot validates the envelope and parses the payload.
 func decodeWALSnapshot(data []byte) (walSnapshot, error) {
 	var zero walSnapshot
-	if len(data) < 13 {
+	if len(data) < 5 {
 		return zero, fmt.Errorf("instance: snapshot too short (%d bytes)", len(data))
 	}
 	if [4]byte(data[:4]) != walSnapshotMagic {
@@ -609,42 +511,34 @@ func decodeWALSnapshot(data []byte) (walSnapshot, error) {
 	if data[4] != walSnapshotVersion {
 		return zero, fmt.Errorf("instance: unsupported snapshot version %d (have %d)", data[4], walSnapshotVersion)
 	}
-	n := int(binary.LittleEndian.Uint32(data[5:9]))
-	payload := data[13:]
-	if n != len(payload) {
-		return zero, fmt.Errorf("instance: snapshot payload length %d, header says %d", len(payload), n)
+	payload, rest, err := unframe(data[5:])
+	if err != nil {
+		return zero, fmt.Errorf("instance: snapshot: %w", err)
 	}
-	if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(data[9:13]) {
-		return zero, fmt.Errorf("instance: snapshot checksum mismatch")
+	if len(rest) != 0 {
+		return zero, fmt.Errorf("instance: %d trailing bytes after the snapshot frame", len(rest))
 	}
-	r := &walParser{data: payload}
-	s := walSnapshot{id: r.str(), rev: r.u64()}
-	s.budget.K = int(r.u16())
-	s.budget.Phi = r.f64()
-	s.budget.Algo = r.str()
+	r := solution.NewReader(payload)
+	s := walSnapshot{id: r.Str(), rev: r.U64()}
+	s.budget.K = int(r.U16())
+	s.budget.Phi = r.F64()
+	s.budget.Algo = r.Str()
 	s.budget.Objective = plan.Objective{
-		Conn:     core.Connectivity(r.u8()),
-		Minimize: plan.Minimize(r.u8()),
-		StrongC:  int(r.u16()),
-		Deadline: time.Duration(r.u64()),
+		Conn:     core.Connectivity(r.U8()),
+		Minimize: plan.Minimize(r.U8()),
+		StrongC:  int(r.U16()),
+		Deadline: time.Duration(r.U64()),
 	}
-	np := int(r.u32())
-	if r.err == nil && np > (len(payload)-r.off)/16 {
-		return zero, fmt.Errorf("instance: snapshot point count %d exceeds remaining bytes", np)
-	}
-	if r.err == nil && np > 0 {
+	if np := r.Count(int(r.U32()), 16); np > 0 { // f64 x, f64 y
 		s.pts = make([]geom.Point, np)
-		for i := 0; i < np && r.err == nil; i++ {
-			s.pts[i] = geom.Point{X: r.f64(), Y: r.f64()}
+		for i := range s.pts {
+			s.pts[i] = geom.Point{X: r.F64(), Y: r.F64()}
 		}
 	}
-	s.artifactDigest = r.str()
-	s.verified = r.boolean()
-	if r.err != nil {
-		return zero, r.err
-	}
-	if r.off != len(payload) {
-		return zero, fmt.Errorf("instance: %d trailing bytes in snapshot", len(payload)-r.off)
+	s.artifactDigest = r.Str()
+	s.verified = r.Bool()
+	if err := r.Done(); err != nil {
+		return zero, fmt.Errorf("instance: snapshot: %w", err)
 	}
 	return s, nil
 }

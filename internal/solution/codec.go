@@ -1,7 +1,6 @@
 package solution
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -16,56 +15,97 @@ import (
 // binaryMagic opens every binary artifact.
 var binaryMagic = [4]byte{'A', 'S', 'O', 'L'}
 
-type binWriter struct {
-	buf bytes.Buffer
+// Minimum encoded sizes of the repeated elements, the divisors of
+// Reader.Count: a count may not promise more elements than the bytes
+// left could hold.
+const (
+	sensorSize   = 2  // u16 sector count
+	sectorSize   = 24 // f64 start, spread, radius
+	changedSize  = 6  // u32 index + u16 sector count
+	strEntrySize = 4  // u32 string length
+)
+
+// Writer appends the little-endian encoding shared by every binary
+// format of the service: the artifact, the store file's payload, the
+// ADLT delta and the instance WAL (WIRE_FORMAT.md). Integers are
+// little-endian, floats their IEEE-754 bits, strings a u32 length plus
+// bytes, string lists a u32 count plus strings, booleans one byte.
+type Writer struct{ buf []byte }
+
+// Bytes returns everything written so far.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Raw appends b verbatim.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
+// U8 appends one byte.
+func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+
+// U16 appends a little-endian uint16.
+func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+
+// U32 appends a little-endian uint32.
+func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+
+// U64 appends a little-endian uint64.
+func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
+// F64 appends the IEEE-754 bits of v.
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// Str appends a u32 length and the bytes of s.
+func (w *Writer) Str(s string) {
+	w.U32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
-func (w *binWriter) u8(v uint8) { w.buf.WriteByte(v) }
-func (w *binWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *binWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *binWriter) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf.Write(b[:])
-}
-func (w *binWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
-}
-func (w *binWriter) strs(ss []string) {
-	w.u32(uint32(len(ss)))
+// Strs appends a u32 count and each string.
+func (w *Writer) Strs(ss []string) {
+	w.U32(uint32(len(ss)))
 	for _, s := range ss {
-		w.str(s)
-	}
-}
-func (w *binWriter) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		w.Str(s)
 	}
 }
 
-type binReader struct {
+// Bool appends 1 for true, 0 for false.
+func (w *Writer) Bool(v bool) {
+	if v {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
+
+// Reader decodes what Writer wrote. The first failure sticks: every
+// later read returns a zero value, and Err or Done reports the failure.
+type Reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *binReader) take(n int) []byte {
+// NewReader returns a Reader positioned at the start of data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Err returns the first failure, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Done returns the first failure, or an error when bytes remain unread:
+// every format ends exactly where its last field does.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("solution: %d trailing bytes", len(r.data)-r.off)
+	}
+	return r.err
+}
+
+// Take consumes the next n bytes.
+func (r *Reader) Take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.data) {
-		r.err = fmt.Errorf("solution: truncated artifact at offset %d (+%d of %d)", r.off, n, len(r.data))
+	if n < 0 || n > len(r.data)-r.off {
+		r.err = fmt.Errorf("solution: truncated at offset %d (+%d of %d bytes)", r.off, n, len(r.data))
 		return nil
 	}
 	b := r.data[r.off : r.off+n]
@@ -73,106 +113,163 @@ func (r *binReader) take(n int) []byte {
 	return b
 }
 
-func (r *binReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
+// Count checks n, a count just read, against the bytes left: n elements
+// of at least minSize bytes each must fit. It returns n, or 0 after
+// failing the reader, so a crafted count cannot make the caller
+// allocate beyond the input's own size.
+func (r *Reader) Count(n, minSize int) int {
+	if r.err != nil {
 		return 0
 	}
-	return b[0]
-}
-func (r *binReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
+	if left := len(r.data) - r.off; n > left/minSize {
+		r.err = fmt.Errorf("solution: count %d exceeds the %d bytes left (%d-byte elements)", n, left, minSize)
 		return 0
 	}
-	return binary.LittleEndian.Uint16(b)
+	return n
 }
-func (r *binReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+
+// fixed takes n bytes, or n zero bytes once the reader has failed.
+func (r *Reader) fixed(n int) []byte {
+	if b := r.Take(n); b != nil {
+		return b
 	}
-	return binary.LittleEndian.Uint32(b)
+	return make([]byte, n)
 }
-func (r *binReader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-func (r *binReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.data)-r.off {
-		if r.err == nil {
-			r.err = fmt.Errorf("solution: string length %d exceeds remaining %d bytes", n, len(r.data)-r.off)
-		}
-		return ""
-	}
-	return string(r.take(n))
-}
-func (r *binReader) strs() []string {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.data)-r.off {
-		if r.err == nil {
-			r.err = fmt.Errorf("solution: list length %d exceeds remaining %d bytes", n, len(r.data)-r.off)
-		}
-		return nil
-	}
+
+// U8 reads one byte.
+func (r *Reader) U8() uint8 { return r.fixed(1)[0] }
+
+// U16 reads a little-endian uint16.
+func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// F64 reads a float from its IEEE-754 bits.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Str reads a u32 length and that many bytes.
+func (r *Reader) Str() string { return string(r.Take(r.Count(int(r.U32()), 1))) }
+
+// Strs reads a u32 count and that many strings; nil for none.
+func (r *Reader) Strs() []string {
+	n := r.Count(int(r.U32()), strEntrySize)
 	if n == 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.str())
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.Str()
 	}
 	return out
 }
-func (r *binReader) boolean() bool { return r.u8() != 0 }
+
+// Bool reads one byte; any nonzero value is true.
+func (r *Reader) Bool() bool { return r.U8() != 0 }
+
+// The artifact and the delta carry the same scalar fields in the same
+// order, split around the artifact's sector block: the head (n through
+// the guarantee) and the tail (l_max through the violations). Each
+// block, and a sensor's sector list, has exactly one writer and one
+// reader.
+
+func (s *Solution) writeHead(w *Writer) {
+	w.U32(uint32(s.N))
+	w.U16(uint16(s.K))
+	w.F64(s.Phi)
+	w.Str(s.Objective)
+	w.Bool(s.Planned)
+	w.Str(s.Algo)
+	w.Str(s.Construction)
+	w.Str(s.Guarantee.Conn)
+	w.F64(s.Guarantee.Stretch)
+	w.U16(uint16(s.Guarantee.Antennae))
+	w.F64(s.Guarantee.Spread)
+	w.U16(uint16(s.Guarantee.StrongC))
+}
+
+func (s *Solution) readHead(r *Reader) {
+	s.N = int(r.U32())
+	s.K = int(r.U16())
+	s.Phi = r.F64()
+	s.Objective = r.Str()
+	s.Planned = r.Bool()
+	s.Algo = r.Str()
+	s.Construction = r.Str()
+	s.Guarantee.Conn = r.Str()
+	s.Guarantee.Stretch = r.F64()
+	s.Guarantee.Antennae = int(r.U16())
+	s.Guarantee.Spread = r.F64()
+	s.Guarantee.StrongC = int(r.U16())
+}
+
+func (s *Solution) writeTail(w *Writer) {
+	w.F64(s.LMax)
+	w.F64(s.Bound)
+	w.F64(s.ProvedBound)
+	w.F64(s.RadiusUsed)
+	w.F64(s.RadiusRatio)
+	w.F64(s.SpreadUsed)
+	w.U32(uint32(s.Edges))
+	w.Bool(s.Verified)
+	w.Strs(s.VerifyErrors)
+	w.Strs(s.Violations)
+}
+
+func (s *Solution) readTail(r *Reader) {
+	s.LMax = r.F64()
+	s.Bound = r.F64()
+	s.ProvedBound = r.F64()
+	s.RadiusUsed = r.F64()
+	s.RadiusRatio = r.F64()
+	s.SpreadUsed = r.F64()
+	s.Edges = int(r.U32())
+	s.Verified = r.Bool()
+	s.VerifyErrors = r.Strs()
+	s.Violations = r.Strs()
+}
+
+// writeSectors writes one sensor's antennae: a u16 count, then each
+// sector's start, spread and radius.
+func writeSectors(w *Writer, secs []Sector) {
+	w.U16(uint16(len(secs)))
+	for _, sec := range secs {
+		w.F64(sec.Start)
+		w.F64(sec.Spread)
+		w.F64(sec.Radius)
+	}
+}
+
+// readSectors reads what writeSectors wrote; nil for no antennae.
+func readSectors(r *Reader) []Sector {
+	n := r.Count(int(r.U16()), sectorSize)
+	if n == 0 {
+		return nil
+	}
+	secs := make([]Sector, n)
+	for i := range secs {
+		secs[i] = Sector{Start: r.F64(), Spread: r.F64(), Radius: r.F64()}
+	}
+	return secs
+}
 
 // EncodeBinary serializes the artifact in the deterministic binary
 // layout of WIRE_FORMAT.md.
 func (s *Solution) EncodeBinary() []byte {
-	var w binWriter
-	w.buf.Write(binaryMagic[:])
-	w.u16(uint16(s.Version))
-	w.str(s.PointsDigest)
-	w.u32(uint32(s.N))
-	w.u16(uint16(s.K))
-	w.f64(s.Phi)
-	w.str(s.Objective)
-	w.boolean(s.Planned)
-	w.str(s.Algo)
-	w.str(s.Construction)
-
-	w.str(s.Guarantee.Conn)
-	w.f64(s.Guarantee.Stretch)
-	w.u16(uint16(s.Guarantee.Antennae))
-	w.f64(s.Guarantee.Spread)
-	w.u16(uint16(s.Guarantee.StrongC))
-
-	w.u32(uint32(len(s.Sectors)))
+	w := Writer{buf: make([]byte, 0, s.EncodedBinarySize())}
+	w.Raw(binaryMagic[:])
+	w.U16(uint16(s.Version))
+	w.Str(s.PointsDigest)
+	s.writeHead(&w)
+	w.U32(uint32(len(s.Sectors)))
 	for _, secs := range s.Sectors {
-		w.u16(uint16(len(secs)))
-		for _, sec := range secs {
-			w.f64(sec.Start)
-			w.f64(sec.Spread)
-			w.f64(sec.Radius)
-		}
+		writeSectors(&w, secs)
 	}
-
-	w.f64(s.LMax)
-	w.f64(s.Bound)
-	w.f64(s.ProvedBound)
-	w.f64(s.RadiusUsed)
-	w.f64(s.RadiusRatio)
-	w.f64(s.SpreadUsed)
-	w.u32(uint32(s.Edges))
-
-	w.boolean(s.Verified)
-	w.strs(s.VerifyErrors)
-	w.strs(s.Violations)
-	return w.buf.Bytes()
+	s.writeTail(&w)
+	return w.Bytes()
 }
 
 // EncodedBinarySize returns len(EncodeBinary()) without encoding: the
@@ -204,67 +301,25 @@ func (s *Solution) EncodedBinarySize() int {
 
 // DecodeBinary parses an artifact produced by EncodeBinary.
 func DecodeBinary(data []byte) (*Solution, error) {
-	r := &binReader{data: data}
-	var magic [4]byte
-	copy(magic[:], r.take(4))
-	if r.err == nil && magic != binaryMagic {
-		return nil, fmt.Errorf("solution: bad magic %q", magic[:])
+	r := NewReader(data)
+	if magic := r.Take(4); r.err == nil && [4]byte(magic) != binaryMagic {
+		return nil, fmt.Errorf("solution: bad magic %q", magic)
 	}
-	s := &Solution{}
-	s.Version = int(r.u16())
+	s := &Solution{Version: int(r.U16())}
 	if r.err == nil && s.Version != Version {
 		return nil, fmt.Errorf("solution: unsupported artifact version %d (have %d)", s.Version, Version)
 	}
-	s.PointsDigest = r.str()
-	s.N = int(r.u32())
-	s.K = int(r.u16())
-	s.Phi = r.f64()
-	s.Objective = r.str()
-	s.Planned = r.boolean()
-	s.Algo = r.str()
-	s.Construction = r.str()
-
-	s.Guarantee.Conn = r.str()
-	s.Guarantee.Stretch = r.f64()
-	s.Guarantee.Antennae = int(r.u16())
-	s.Guarantee.Spread = r.f64()
-	s.Guarantee.StrongC = int(r.u16())
-
-	ns := int(r.u32())
-	if r.err == nil && ns > len(r.data)-r.off {
-		return nil, fmt.Errorf("solution: sensor count %d exceeds remaining bytes", ns)
-	}
-	if r.err == nil && ns > 0 {
+	s.PointsDigest = r.Str()
+	s.readHead(r)
+	if ns := r.Count(int(r.U32()), sensorSize); ns > 0 {
 		s.Sectors = make([][]Sector, ns)
-		for u := 0; u < ns && r.err == nil; u++ {
-			cnt := int(r.u16())
-			if cnt == 0 {
-				continue
-			}
-			secs := make([]Sector, cnt)
-			for i := 0; i < cnt; i++ {
-				secs[i] = Sector{Start: r.f64(), Spread: r.f64(), Radius: r.f64()}
-			}
-			s.Sectors[u] = secs
+		for u := range s.Sectors {
+			s.Sectors[u] = readSectors(r)
 		}
 	}
-
-	s.LMax = r.f64()
-	s.Bound = r.f64()
-	s.ProvedBound = r.f64()
-	s.RadiusUsed = r.f64()
-	s.RadiusRatio = r.f64()
-	s.SpreadUsed = r.f64()
-	s.Edges = int(r.u32())
-
-	s.Verified = r.boolean()
-	s.VerifyErrors = r.strs()
-	s.Violations = r.strs()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("solution: %d trailing bytes after artifact", len(data)-r.off)
+	s.readTail(r)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

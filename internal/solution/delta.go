@@ -159,6 +159,36 @@ var deltaMagic = [4]byte{'A', 'D', 'L', 'T'}
 // DeltaVersion is the current delta schema version.
 const DeltaVersion = 1
 
+// opSize is the encoded size of one PointOp.
+const opSize = 21
+
+// Ops writes a batch in the op layout shared by the ADLT delta and the
+// instance WAL: a u32 count, then per op u8 kind, u32 index, f64 x and
+// f64 y.
+func (w *Writer) Ops(ops []PointOp) {
+	w.U32(uint32(len(ops)))
+	for _, op := range ops {
+		w.U8(uint8(op.Op))
+		w.U32(uint32(op.Index))
+		w.F64(op.X)
+		w.F64(op.Y)
+	}
+}
+
+// Ops reads what Writer.Ops wrote; nil for an empty batch. Kinds and
+// indices are not validated here: PlanOps and ApplyPointOps reject them.
+func (r *Reader) Ops() []PointOp {
+	n := r.Count(int(r.U32()), opSize)
+	if n == 0 {
+		return nil
+	}
+	ops := make([]PointOp, n)
+	for i := range ops {
+		ops[i] = PointOp{Op: OpKind(r.U8()), Index: int(r.U32()), X: r.F64(), Y: r.F64()}
+	}
+	return ops
+}
+
 // EncodeDelta serializes next as an ADLT patch against base: the batch
 // that produced it plus only the sector lists that differ after index
 // remapping. Both artifacts must share budget and selection metadata (a
@@ -181,38 +211,26 @@ func EncodeDelta(base, next *Solution, ops []PointOp) ([]byte, error) {
 			inherited[n] = o
 		}
 	}
-	var w binWriter
-	w.buf.Write(deltaMagic[:])
-	w.u16(DeltaVersion)
-	w.str(base.PointsDigest)
-	w.str(next.PointsDigest)
-	w.u32(uint32(len(ops)))
-	for _, op := range ops {
-		w.u8(uint8(op.Op))
-		w.u32(uint32(op.Index))
-		w.f64(op.X)
-		w.f64(op.Y)
-	}
-	changed := 0
-	var body binWriter
+	var changed []int
 	for i := 0; i < next.N; i++ {
-		if o := inherited[i]; o >= 0 && sectorsEqual(base.Sectors[o], next.Sectors[i]) {
-			continue
-		}
-		changed++
-		body.u32(uint32(i))
-		secs := next.Sectors[i]
-		body.u16(uint16(len(secs)))
-		for _, sec := range secs {
-			body.f64(sec.Start)
-			body.f64(sec.Spread)
-			body.f64(sec.Radius)
+		if o := inherited[i]; o < 0 || !sectorsEqual(base.Sectors[o], next.Sectors[i]) {
+			changed = append(changed, i)
 		}
 	}
-	w.u32(uint32(changed))
-	w.buf.Write(body.buf.Bytes())
-	writeScalarTail(&w, next)
-	return w.buf.Bytes(), nil
+	var w Writer
+	w.Raw(deltaMagic[:])
+	w.U16(DeltaVersion)
+	w.Str(base.PointsDigest)
+	w.Str(next.PointsDigest)
+	w.Ops(ops)
+	w.U32(uint32(len(changed)))
+	for _, i := range changed {
+		w.U32(uint32(i))
+		writeSectors(&w, next.Sectors[i])
+	}
+	next.writeHead(&w)
+	next.writeTail(&w)
+	return w.Bytes(), nil
 }
 
 // DeltaInfo is the decoded header of an ADLT delta, exposed so callers
@@ -228,70 +246,16 @@ type DeltaInfo struct {
 // base and an ADLT patch. It fails when the patch was cut against a
 // different base artifact, on any truncation, and on trailing bytes.
 func ApplyDelta(base *Solution, data []byte) (*Solution, error) {
-	next, _, err := decodeDelta(base, data)
-	return next, err
-}
-
-// DecodeDeltaInfo parses just the header of an ADLT patch.
-func DecodeDeltaInfo(data []byte) (*DeltaInfo, error) {
-	r := newDeltaReader(data)
-	if r == nil {
-		return nil, fmt.Errorf("solution: bad delta magic")
-	}
-	info := &DeltaInfo{BaseDigest: r.str(), NewDigest: r.str()}
-	nops := int(r.u32())
-	if r.err == nil && nops > len(r.data)-r.off {
-		return nil, fmt.Errorf("solution: op count %d exceeds remaining bytes", nops)
-	}
-	for i := 0; i < nops && r.err == nil; i++ {
-		info.Ops = append(info.Ops, PointOp{Op: OpKind(r.u8()), Index: int(r.u32()), X: r.f64(), Y: r.f64()})
-	}
-	info.Changed = int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	return info, nil
-}
-
-// newDeltaReader validates magic and version and positions the reader at
-// the base-digest field; nil on a foreign stream.
-func newDeltaReader(data []byte) *binReader {
-	r := &binReader{data: data}
-	var magic [4]byte
-	copy(magic[:], r.take(4))
-	if r.err != nil || magic != deltaMagic {
-		return nil
-	}
-	if v := int(r.u16()); r.err != nil || v != DeltaVersion {
-		return nil
-	}
-	return r
-}
-
-func decodeDelta(base *Solution, data []byte) (*Solution, *DeltaInfo, error) {
-	r := newDeltaReader(data)
-	if r == nil {
-		return nil, nil, fmt.Errorf("solution: bad delta magic or version")
-	}
-	info := &DeltaInfo{BaseDigest: r.str(), NewDigest: r.str()}
-	if r.err == nil && info.BaseDigest != base.PointsDigest {
-		return nil, nil, fmt.Errorf("solution: delta base %.12s does not match artifact %.12s", info.BaseDigest, base.PointsDigest)
-	}
-	nops := int(r.u32())
-	if r.err == nil && nops > len(r.data)-r.off {
-		return nil, nil, fmt.Errorf("solution: op count %d exceeds remaining bytes", nops)
-	}
-	ops := make([]PointOp, 0, nops)
-	for i := 0; i < nops && r.err == nil; i++ {
-		ops = append(ops, PointOp{Op: OpKind(r.u8()), Index: int(r.u32()), X: r.f64(), Y: r.f64()})
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	info.Ops = ops
-	old2new, nNew, _, err := PlanOps(base.N, ops)
+	r, info, err := readDeltaHeader(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if info.BaseDigest != base.PointsDigest {
+		return nil, fmt.Errorf("solution: delta base %.12s does not match artifact %.12s", info.BaseDigest, base.PointsDigest)
+	}
+	old2new, nNew, _, err := PlanOps(base.N, info.Ops)
+	if err != nil {
+		return nil, err
 	}
 	// Inherited sectors survive under their new indices; changed entries
 	// overwrite below.
@@ -301,90 +265,50 @@ func decodeDelta(base *Solution, data []byte) (*Solution, *DeltaInfo, error) {
 			sectors[n] = base.Sectors[o]
 		}
 	}
-	nChanged := int(r.u32())
-	if r.err == nil && nChanged > len(r.data)-r.off {
-		return nil, nil, fmt.Errorf("solution: changed count %d exceeds remaining bytes", nChanged)
-	}
-	info.Changed = nChanged
-	for i := 0; i < nChanged && r.err == nil; i++ {
-		idx := int(r.u32())
-		cnt := int(r.u16())
-		if r.err != nil || idx < 0 || idx >= nNew {
-			return nil, nil, fmt.Errorf("solution: changed sensor %d out of range [0, %d)", idx, nNew)
+	for i := 0; i < info.Changed; i++ {
+		idx := int(r.U32())
+		if r.err == nil && idx >= nNew {
+			return nil, fmt.Errorf("solution: changed sensor %d out of range [0, %d)", idx, nNew)
 		}
-		if cnt > (len(r.data)-r.off)/24 {
-			return nil, nil, fmt.Errorf("solution: sector count %d exceeds remaining bytes", cnt)
+		if secs := readSectors(r); r.err == nil {
+			sectors[idx] = secs
 		}
-		var secs []Sector
-		for j := 0; j < cnt; j++ {
-			secs = append(secs, Sector{Start: r.f64(), Spread: r.f64(), Radius: r.f64()})
-		}
-		sectors[idx] = secs
 	}
 	next := &Solution{Version: Version, PointsDigest: info.NewDigest, Sectors: sectors}
-	readScalarTail(r, next)
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, nil, fmt.Errorf("solution: %d trailing bytes after delta", len(data)-r.off)
+	next.readHead(r)
+	next.readTail(r)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if next.N != nNew {
-		return nil, nil, fmt.Errorf("solution: delta tail claims %d sensors, ops map to %d", next.N, nNew)
+		return nil, fmt.Errorf("solution: delta tail claims %d sensors, ops map to %d", next.N, nNew)
 	}
-	return next, info, nil
+	return next, nil
 }
 
-// writeScalarTail emits every Solution field except the version, digest,
-// and sector list — the delta's full-fidelity record of the revision.
-func writeScalarTail(w *binWriter, s *Solution) {
-	w.u32(uint32(s.N))
-	w.u16(uint16(s.K))
-	w.f64(s.Phi)
-	w.str(s.Objective)
-	w.boolean(s.Planned)
-	w.str(s.Algo)
-	w.str(s.Construction)
-	w.str(s.Guarantee.Conn)
-	w.f64(s.Guarantee.Stretch)
-	w.u16(uint16(s.Guarantee.Antennae))
-	w.f64(s.Guarantee.Spread)
-	w.u16(uint16(s.Guarantee.StrongC))
-	w.f64(s.LMax)
-	w.f64(s.Bound)
-	w.f64(s.ProvedBound)
-	w.f64(s.RadiusUsed)
-	w.f64(s.RadiusRatio)
-	w.f64(s.SpreadUsed)
-	w.u32(uint32(s.Edges))
-	w.boolean(s.Verified)
-	w.strs(s.VerifyErrors)
-	w.strs(s.Violations)
+// DecodeDeltaInfo parses just the header of an ADLT patch.
+func DecodeDeltaInfo(data []byte) (*DeltaInfo, error) {
+	_, info, err := readDeltaHeader(data)
+	return info, err
 }
 
-func readScalarTail(r *binReader, s *Solution) {
-	s.N = int(r.u32())
-	s.K = int(r.u16())
-	s.Phi = r.f64()
-	s.Objective = r.str()
-	s.Planned = r.boolean()
-	s.Algo = r.str()
-	s.Construction = r.str()
-	s.Guarantee.Conn = r.str()
-	s.Guarantee.Stretch = r.f64()
-	s.Guarantee.Antennae = int(r.u16())
-	s.Guarantee.Spread = r.f64()
-	s.Guarantee.StrongC = int(r.u16())
-	s.LMax = r.f64()
-	s.Bound = r.f64()
-	s.ProvedBound = r.f64()
-	s.RadiusUsed = r.f64()
-	s.RadiusRatio = r.f64()
-	s.SpreadUsed = r.f64()
-	s.Edges = int(r.u32())
-	s.Verified = r.boolean()
-	s.VerifyErrors = r.strs()
-	s.Violations = r.strs()
+// readDeltaHeader checks magic and version and parses the header
+// through the changed-sensor count, leaving the reader at the first
+// changed entry.
+func readDeltaHeader(data []byte) (*Reader, *DeltaInfo, error) {
+	r := NewReader(data)
+	if magic := r.Take(4); r.err != nil || [4]byte(magic) != deltaMagic {
+		return nil, nil, fmt.Errorf("solution: bad delta magic")
+	}
+	if v := r.U16(); r.err == nil && v != DeltaVersion {
+		return nil, nil, fmt.Errorf("solution: unsupported delta version %d (have %d)", v, DeltaVersion)
+	}
+	info := &DeltaInfo{BaseDigest: r.Str(), NewDigest: r.Str(), Ops: r.Ops()}
+	info.Changed = r.Count(int(r.U32()), changedSize)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	return r, info, nil
 }
 
 // sectorsEqual compares wire sector lists exactly: the pipeline is
