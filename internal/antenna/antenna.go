@@ -7,8 +7,7 @@ package antenna
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -200,44 +199,22 @@ func (a *Assignment) InducedDigraph() *graph.Digraph {
 	if idx == nil || idx.Len() != n {
 		idx = spatial.NewGrid(a.Pts, 0)
 	}
-	var eu, ev []int32
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 1 && n >= parallelDigraphMin {
-		// Deterministic fan-out: contiguous sensor ranges, per-worker edge
-		// buffers, concatenated in range order. The grid and sectors are
-		// read-only once built.
-		if workers > n/256 {
-			workers = n / 256
-		}
-		chunk := (n + workers - 1) / workers
-		eus := make([][]int32, workers)
-		evs := make([][]int32, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				eus[w], evs[w] = a.scanSensors(idx, lo, hi, nil, nil)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		total := 0
-		for w := range eus {
-			total += len(eus[w])
-		}
-		eu = make([]int32, 0, total)
-		ev = make([]int32, 0, total)
-		for w := range eus {
-			eu = append(eu, eus[w]...)
-			ev = append(ev, evs[w]...)
-		}
-	} else {
-		eu, ev = a.scanSensors(idx, 0, n, make([]int32, 0, 4*n), make([]int32, 0, 4*n))
+	// Deterministic fan-out: fixed sensor blocks, per-block edge buffers,
+	// concatenated in block order. The grid and sectors are read-only
+	// once built.
+	workers := par.Workers(0)
+	if n < parallelDigraphMin {
+		workers = 1
+	}
+	eus := make([][]int32, (n+digraphBlock-1)/digraphBlock)
+	evs := make([][]int32, len(eus))
+	par.For(workers, n, digraphBlock, func(lo, hi int) {
+		b := lo / digraphBlock
+		eus[b], evs[b] = a.scanSensors(idx, lo, hi, make([]int32, 0, 4*(hi-lo)), make([]int32, 0, 4*(hi-lo)))
+	})
+	eu, ev := eus[0], evs[0] // one inline block when serial
+	if workers > 1 {
+		eu, ev = slices.Concat(eus...), slices.Concat(evs...)
 	}
 	// Build the adjacency in two counted passes sharing one backing array
 	// (no per-vertex append churn).
@@ -260,6 +237,10 @@ func (a *Assignment) InducedDigraph() *graph.Digraph {
 // parallelDigraphMin is the sensor count below which InducedDigraph stays
 // serial: fan-out overhead beats the win on small instances.
 const parallelDigraphMin = 1024
+
+// digraphBlock is InducedDigraph's fan-out grain: small enough that an
+// instance at parallelDigraphMin still splits across two workers.
+const digraphBlock = 512
 
 // scanSensors appends the directed edges of sensors [lo, hi) to eu/ev and
 // returns the extended slices. It only reads shared state, so disjoint
