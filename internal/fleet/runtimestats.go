@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // RuntimeStats is the Go-runtime profile of one soak run, sampled via
@@ -113,54 +116,18 @@ func sampleUint(s metrics.Sample) uint64 {
 }
 
 // pauseDelta reads the run's own pause distribution out of two cumulative
-// histograms and returns the p50, p99, and max bucket bounds in seconds.
-// Bucket upper edges are reported (nearest-rank on buckets), matching the
-// resolution runtime/metrics itself provides.
+// histograms: the difference of their counts, through obs.PauseStats.
 func pauseDelta(start, end *metrics.Float64Histogram) (p50, p99, max float64) {
 	if end == nil {
 		return 0, 0, 0
 	}
-	n := len(end.Counts)
-	delta := make([]uint64, n)
-	var total uint64
-	for i := 0; i < n; i++ {
-		d := end.Counts[i]
-		if start != nil && i < len(start.Counts) {
-			d -= start.Counts[i]
+	delta := &metrics.Float64Histogram{Counts: slices.Clone(end.Counts), Buckets: end.Buckets}
+	if start != nil {
+		for i := range min(len(start.Counts), len(delta.Counts)) {
+			delta.Counts[i] -= start.Counts[i]
 		}
-		delta[i] = d
-		total += d
 	}
-	if total == 0 {
-		return 0, 0, 0
-	}
-	// Buckets[i], Buckets[i+1] bound Counts[i]; use the finite upper edge.
-	edge := func(i int) float64 {
-		hi := i + 1
-		if hi >= len(end.Buckets) {
-			hi = len(end.Buckets) - 1
-		}
-		v := end.Buckets[hi]
-		if v > 1e18 || v != v { // +Inf tail bucket: fall back to its lower edge
-			v = end.Buckets[i]
-		}
-		return v
-	}
-	var cum uint64
-	for i := 0; i < n; i++ {
-		if delta[i] == 0 {
-			continue
-		}
-		cum += delta[i]
-		if p50 == 0 && float64(cum) >= 0.50*float64(total) {
-			p50 = edge(i)
-		}
-		if p99 == 0 && float64(cum) >= 0.99*float64(total) {
-			p99 = edge(i)
-		}
-		max = edge(i)
-	}
-	return p50, p99, max
+	return obs.PauseStats(delta)
 }
 
 // secMS converts seconds to the report's fractional milliseconds.

@@ -55,10 +55,8 @@ func ReadRuntime() RuntimeSnapshot {
 			}
 		case "/sched/pauses/total/gc:seconds":
 			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				h := s.Value.Float64Histogram()
-				snap.GCPauseP50MS = pauseQuantile(h, 0.5) * 1e3
-				snap.GCPauseP99MS = pauseQuantile(h, 0.99) * 1e3
-				snap.GCPauseMaxMS = pauseMax(h) * 1e3
+				p50, p99, max := PauseStats(s.Value.Float64Histogram())
+				snap.GCPauseP50MS, snap.GCPauseP99MS, snap.GCPauseMaxMS = p50*1e3, p99*1e3, max*1e3
 			}
 		}
 	}
@@ -75,35 +73,34 @@ func upperBound(h *metrics.Float64Histogram, i int) float64 {
 	return hi
 }
 
-func pauseQuantile(h *metrics.Float64Histogram, q float64) float64 {
+// PauseStats reads the p50, p99 and max of a GC pause histogram, in
+// seconds: nearest rank on buckets, each reported at its upper edge (the
+// resolution runtime/metrics provides). ReadRuntime applies it to the
+// process's cumulative histogram; the fleet report applies it to the
+// difference of two samples.
+func PauseStats(h *metrics.Float64Histogram) (p50, p99, max float64) {
 	var total uint64
-	for _, c := range h.Counts {
+	last := -1
+	for i, c := range h.Counts {
 		total += c
+		if c > 0 {
+			last = i
+		}
 	}
 	if total == 0 {
-		return 0
+		return 0, 0, 0
 	}
-	rank := uint64(math.Ceil(float64(total) * q))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			return upperBound(h, i)
+	quantile := func(q float64) float64 {
+		rank := uint64(math.Ceil(float64(total) * q))
+		var cum uint64
+		for i, c := range h.Counts {
+			if cum += c; cum >= rank {
+				return upperBound(h, i)
+			}
 		}
+		return upperBound(h, last)
 	}
-	return upperBound(h, len(h.Counts)-1)
-}
-
-func pauseMax(h *metrics.Float64Histogram) float64 {
-	for i := len(h.Counts) - 1; i >= 0; i-- {
-		if h.Counts[i] > 0 {
-			return upperBound(h, i)
-		}
-	}
-	return 0
+	return quantile(0.5), quantile(0.99), upperBound(h, last)
 }
 
 // HandleRuntime serves a RuntimeSnapshot as JSON — the /debug/runtime
