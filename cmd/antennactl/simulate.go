@@ -57,21 +57,25 @@ func cmdSimulate(args []string) error {
 		fmt.Printf("compass     delivered %.1f%% (stuck %d, loops %d), stretch %.2f\n",
 			sc.Rate()*100, sc.Stuck, sc.Loops, sc.Stretch)
 	case "fail":
-		rng := rand.New(rand.NewSource(*seed))
-		perm := rng.Perm(len(pts))
+		// One stage of -fails kills through a live instance: the impact is
+		// measured on revision 1, the repair is the revision the kills
+		// produce (incremental splice or full re-solve).
 		n := *fails
 		if n >= len(pts) {
 			n = len(pts) / 2
 		}
-		impact := dynamics.Fail(asg, perm[:n])
-		fmt.Printf("failures    %d killed, residual SCC %.1f%% of %d survivors (strong=%v)\n",
-			n, impact.SCCFraction*100, impact.Survivors, impact.StillStrong)
-		rep, _, err := dynamics.Repair(asg, perm[:n], *k, phi)
+		if n < 1 {
+			return fmt.Errorf("fail mode needs -fails ≥ 1 and at least 2 sensors")
+		}
+		stages, err := dynamics.RunScenario(pts, dynamics.Scenario{K: *k, Phi: phi, Step: n, MaxFails: n}, rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("repair      strong=%v churn=%d/%d (%.1f%%)\n",
-			rep.Strong, rep.Churn, rep.Survivors, rep.ChurnFrac*100)
+		imp, rep := stages[0].Impact, stages[0].Repair
+		fmt.Printf("failures    %d killed, residual SCC %.1f%% of %d survivors (strong=%v)\n",
+			n, imp.SCCFraction*100, imp.Survivors, imp.StillStrong)
+		fmt.Printf("repair      strong=%v churn=%d/%d (%.1f%%) %s\n",
+			rep.Strong, rep.Churn, rep.Survivors, rep.ChurnFrac*100, rep.Kind)
 	default:
 		return fmt.Errorf("unknown -sim mode %q", *mode)
 	}

@@ -73,94 +73,18 @@ func Fail(asg *antenna.Assignment, failed []int) FailureImpact {
 	return impact
 }
 
-// RepairResult describes a re-orientation of the surviving sensors.
+// RepairResult describes the live instance's re-orientation of the
+// surviving sensors after one failure stage.
 type RepairResult struct {
 	Survivors int
 	Strong    bool    // repaired network verified (connectivity + budgets)
 	Churn     int     // surviving sensors whose sector set changed
 	ChurnFrac float64 // Churn / Survivors
 	NewRadius float64 // radius used by the repaired orientation
-	// Kind and Latency are filled by the live-instance path
-	// (RunScenario): how the revision was produced — instance.RepairFull
-	// or instance.RepairIncremental — and its server-side latency.
+	// Kind is how the revision was produced — instance.RepairFull or
+	// instance.RepairIncremental — and Latency its server-side latency.
 	Kind    string
 	Latency time.Duration
-}
-
-// Repair re-runs the Table-1 dispatcher on the survivors and measures the
-// churn against the original orientation: a surviving sensor counts as
-// churned when its sector multiset changed beyond tolerance. MST-local
-// algorithms keep churn proportional to the damaged region, which is the
-// property this measures.
-func Repair(asg *antenna.Assignment, failed []int, k int, phi float64) (RepairResult, *antenna.Assignment, error) {
-	n := asg.N()
-	dead := make([]bool, n)
-	for _, f := range failed {
-		if f >= 0 && f < n {
-			dead[f] = true
-		}
-	}
-	var pts []geom.Point
-	var old2new []int
-	survivorOld := make([]int, 0, n)
-	old2new = make([]int, n)
-	for v := 0; v < n; v++ {
-		if dead[v] {
-			old2new[v] = -1
-			continue
-		}
-		old2new[v] = len(pts)
-		pts = append(pts, asg.Pts[v])
-		survivorOld = append(survivorOld, v)
-	}
-	repaired, _, err := core.Orient(pts, k, phi)
-	if err != nil {
-		return RepairResult{}, nil, err
-	}
-	res := RepairResult{Survivors: len(pts)}
-	res.Strong = graph.StronglyConnected(repaired.InducedDigraph())
-	res.NewRadius = repaired.MaxRadius()
-	for newIdx, oldIdx := range survivorOld {
-		if !sectorsEqual(asg.Sectors[oldIdx], repaired.Sectors[newIdx]) {
-			res.Churn++
-		}
-	}
-	if res.Survivors > 0 {
-		res.ChurnFrac = float64(res.Churn) / float64(res.Survivors)
-	}
-	return res, repaired, nil
-}
-
-// sectorsEqual compares sector lists up to ordering and tolerance.
-func sectorsEqual(a, b []geom.Sector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	used := make([]bool, len(b))
-	for _, sa := range a {
-		found := false
-		for i, sb := range b {
-			if used[i] {
-				continue
-			}
-			if angleClose(sa.Start, sb.Start) && close(sa.Spread, sb.Spread) && close(sa.Radius, sb.Radius) {
-				used[i] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func close(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
-
-func angleClose(a, b float64) bool {
-	d := geom.CCW(a, b)
-	return d < 1e-9 || geom.TwoPi-d < 1e-9
 }
 
 // Scenario runs a progressive-failure experiment: kill `step` random

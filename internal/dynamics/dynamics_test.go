@@ -66,51 +66,6 @@ func TestFailAllAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestRepairRestoresConnectivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := pointset.Clusters(rng, 80, 4, 10, 0.5)
-	asg, _, err := core.Orient(pts, 2, math.Pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := []int{3, 17, 42, 55}
-	rep, repaired, err := Repair(asg, failed, 2, math.Pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Strong {
-		t.Fatal("repair did not restore strong connectivity")
-	}
-	if rep.Survivors != 76 || repaired.N() != 76 {
-		t.Fatalf("survivors = %d", rep.Survivors)
-	}
-	if rep.Churn == 0 {
-		t.Fatal("failures adjacent to the MST must force some re-aiming")
-	}
-	if rep.ChurnFrac < 0 || rep.ChurnFrac > 1 {
-		t.Fatalf("churn fraction %v out of range", rep.ChurnFrac)
-	}
-}
-
-func TestRepairChurnZeroWhenNothingFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := pointset.Uniform(rng, 50, 8)
-	asg, _, err := core.Orient(pts, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := Repair(asg, nil, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Churn != 0 {
-		t.Fatalf("deterministic re-orientation churned %d sensors with no failures", rep.Churn)
-	}
-	if !rep.Strong {
-		t.Fatal("repair not strong")
-	}
-}
-
 func TestRunScenario(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := pointset.Uniform(rng, 60, 10)

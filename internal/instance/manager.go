@@ -94,7 +94,13 @@ func NewManager(cfg Config) *Manager {
 		cfg.VerifyAuditEvery = DefaultVerifyAuditEvery
 	}
 	m := &Manager{cfg: cfg, byID: make(map[string]*inst), reserved: make(map[string]struct{})}
-	m.metrics.initMetrics()
+	m.metrics.initMetrics(func() uint64 {
+		// Delete unlists an instance before marking it deleted, so
+		// byID holds exactly the live ones.
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return uint64(len(m.byID))
+	})
 	if cfg.WAL != nil {
 		m.wal = newWALManager(*cfg.WAL, &m.metrics)
 	}

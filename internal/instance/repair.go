@@ -190,7 +190,7 @@ func (m *Manager) tryRepair(ctx context.Context, in *inst, newPts []geom.Point, 
 	switch kit.class {
 	case core.RepairClassEMST, core.RepairClassBats:
 		if touched != nil {
-			reaim = dirtyFromTouched(len(newPts), touched, fresh)
+			reaim = mergeDirty(len(newPts), touched, fresh)
 		} else {
 			// The splice could not cheaply certify its change set (tie
 			// rewiring in degree repair): diff the trees.
@@ -434,7 +434,9 @@ func spliceWire(prev *solution.Solution, asg *antenna.Assignment, old2new []int,
 	return wire, changed
 }
 
-// mergeDirty unions two dirty sets into one sorted list.
+// mergeDirty unions two dirty sets (either may repeat entries) into one
+// sorted, deduplicated list — the splice's change log plus the fresh
+// sensors, or a tour splice's dirty set plus the 2-opt extras.
 func mergeDirty(n int, a, b []int) []int {
 	mark := make([]bool, n)
 	for _, v := range a {
@@ -460,25 +462,6 @@ func resolvedAlgo(b Budget, sol *solution.Solution) string {
 		return b.Algo
 	}
 	return sol.Algo
-}
-
-// dirtyFromTouched dedups the splice's change log into the sorted dirty
-// set: fresh sensors plus every settled sensor whose adjacency changed.
-func dirtyFromTouched(n int, touched, fresh []int) []int {
-	mark := make([]bool, n)
-	for _, v := range fresh {
-		mark[v] = true
-	}
-	for _, v := range touched {
-		mark[v] = true
-	}
-	var out []int
-	for v := 0; v < n; v++ {
-		if mark[v] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // dirtyVertices returns the new-index sensors whose EMST neighborhood

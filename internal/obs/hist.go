@@ -9,8 +9,8 @@ import (
 )
 
 // Histogram is a fixed-bucket histogram with atomic counters: Observe is
-// allocation-free and safe for concurrent use, Write renders the family
-// in Prometheus text exposition format. Bucket bounds are fixed at
+// allocation-free and safe for concurrent use; a Registry renders it in
+// Prometheus text exposition format. Bucket bounds are fixed at
 // construction (log-spaced for latencies, see LatencyBuckets).
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf is implicit
@@ -79,21 +79,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n.Load() }
 
-// Write renders the family in Prometheus text format with HELP and TYPE
-// lines, cumulative le buckets, an explicit +Inf bucket, _sum, and
-// _count.
-func (h *Histogram) Write(w io.Writer, name, help string) error {
-	s := h.Snapshot()
-	return s.Write(w, name, help)
-}
-
-// WriteScalar renders one unlabeled sample of a counter or gauge family
-// (kind) in Prometheus text format with HELP and TYPE lines.
-func WriteScalar(w io.Writer, name, help, kind string, v uint64) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, kind, name, v)
-	return err
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram, used for
 // fleet report summaries and quantile estimation.
 type HistogramSnapshot struct {
@@ -119,25 +104,20 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Write renders the snapshot in Prometheus text format.
-func (s HistogramSnapshot) Write(w io.Writer, name, help string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
+// write renders the snapshot's samples in Prometheus text format:
+// cumulative le buckets, an explicit +Inf bucket, _sum and _count. The
+// HELP and TYPE lines are the Registry's.
+func (s HistogramSnapshot) write(w io.Writer, name string) error {
 	var cum uint64
 	for i, b := range s.Bounds {
 		cum += s.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum); err != nil {
 			return err
 		}
 	}
 	cum += s.Counts[len(s.Counts)-1]
 	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, cum, name, s.Sum, name, cum)
 	return err
-}
-
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }
 
 // Quantile estimates the q-quantile (0..1) from bucket counts, reporting

@@ -98,12 +98,13 @@ func TestHistogramConcurrent(t *testing.T) {
 // TestHistogramWriteLints: the exposition a histogram renders must pass
 // the repo's own lint — the property the /metrics handler relies on.
 func TestHistogramWriteLints(t *testing.T) {
-	h := NewHistogram(LatencyBuckets())
+	var r Registry
+	h := r.Histogram("test_seconds", "test latency", LatencyBuckets())
 	h.ObserveDuration(3 * time.Millisecond)
 	h.ObserveDuration(70 * time.Millisecond)
 	h.Observe(100) // +Inf
 	var buf bytes.Buffer
-	if err := h.Write(&buf, "test_seconds", "test latency"); err != nil {
+	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {

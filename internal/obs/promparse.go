@@ -346,8 +346,9 @@ func lintHistogram(f *MetricFamily) error {
 }
 
 // SnapshotFromFamily reconstructs a HistogramSnapshot from a scraped
-// histogram family — how the fleet's HTTP driver ingests server-side
-// latencies.
+// histogram family, so a /metrics scrape can be read back into
+// quantiles (the exposition tests check the latency histograms
+// observed traffic this way).
 func SnapshotFromFamily(f *MetricFamily) (HistogramSnapshot, error) {
 	if f.Type != "histogram" {
 		return HistogramSnapshot{}, fmt.Errorf("family %s is %q, not histogram", f.Name, f.Type)

@@ -126,16 +126,18 @@ func TestParseErrors(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: rendering a histogram and re-ingesting the
-// scrape must reproduce the snapshot — the fleet HTTP driver's path.
+// scrape must reproduce the snapshot — how a /metrics scrape is read
+// back into quantiles.
 func TestSnapshotRoundTrip(t *testing.T) {
-	h := NewHistogram(LatencyBuckets())
+	var r Registry
+	h := r.Histogram("rt_seconds", "round trip", LatencyBuckets())
 	for _, d := range []float64{0.0004, 0.002, 0.002, 0.07, 3, 42} {
 		h.Observe(d)
 	}
 	want := h.Snapshot()
 
 	var buf bytes.Buffer
-	if err := h.Write(&buf, "rt_seconds", "round trip"); err != nil {
+	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fams, _, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))

@@ -200,7 +200,7 @@ func NewEngine(opts Options) *Engine {
 		neg:     make(map[solution.Key]error),
 		negLL:   list.New(),
 	}
-	e.metrics.init()
+	e.metrics.init(e)
 	return e
 }
 
@@ -545,10 +545,12 @@ func (e *Engine) finish(ctx context.Context, req Request, key solution.Key, deci
 		e.metrics.VerifyFailures.Add(1)
 	}
 	sol := buildSolution(key, req, decision, guar, asg, res, rep)
-	e.metrics.Solves.Add(1)
 	e.metrics.SolvePoints.Observe(float64(len(req.Pts)))
 	_, endFill := obs.StartSpan(ctx, "fill")
 	e.cache.Put(key, sol)
+	// Counted once the memory tier serves it: a reader that sees the
+	// solve counted can hit the artifact.
+	e.metrics.Solves.Add(1)
 	if e.store != nil {
 		_ = e.store.Put(key, sol) // best-effort; failures show in store stats
 	}

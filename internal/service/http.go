@@ -117,6 +117,9 @@ type Server struct {
 	// draining flips on BeginDrain: new work is answered 503 while
 	// in-flight requests run to completion (or until AbortInflight).
 	draining atomic.Bool
+	// metrics holds the server's own families (antennad_draining),
+	// rendered ahead of the engine's and the instance manager's.
+	metrics obs.Registry
 	// abortCtx is merged into every request context by the middleware;
 	// AbortInflight cancels it when the drain deadline expires.
 	abortCtx    context.Context
@@ -144,6 +147,12 @@ func NewServer(eng *Engine) *Server {
 		s.inflight = make(chan struct{}, n)
 	}
 	s.abortCtx, s.abortCancel = context.WithCancel(context.Background())
+	s.metrics.Func("antennad_draining", "whether the server is refusing new work ahead of shutdown", "gauge", func() uint64 {
+		if s.draining.Load() {
+			return 1
+		}
+		return 0
+	})
 	return s
 }
 
@@ -514,11 +523,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var draining uint64
-	if s.draining.Load() {
-		draining = 1
-	}
-	_ = obs.WriteScalar(w, "antennad_draining", "whether the server is refusing new work ahead of shutdown", "gauge", draining)
+	_ = s.metrics.Write(w)
 	_ = s.eng.WriteMetrics(w)
 	_ = s.instances.WriteMetrics(w)
 }

@@ -38,8 +38,8 @@ func doJSON(t *testing.T, h http.Handler, method, path, body string, hdr map[str
 
 // TestInstanceHTTPLifecycle walks the full live-instance surface:
 // create, conditional mutation with X-Repair: incremental, revision
-// history, the ADLT delta endpoint, stale If-Match 409, metrics rows,
-// and deletion.
+// history, the ADLT delta endpoint, stale If-Match 409, the instance
+// list, metrics rows, and deletion.
 func TestInstanceHTTPLifecycle(t *testing.T) {
 	eng := NewEngine(Options{})
 	srv := NewServer(eng)
@@ -110,9 +110,10 @@ func TestInstanceHTTPLifecycle(t *testing.T) {
 		t.Fatal("delta endpoint did not reconstruct the served artifact")
 	}
 
-	// List and metrics.
+	// List and metrics: per-instance detail lives in the list, not in
+	// /metrics.
 	rec, _ = doJSON(t, h, "GET", "/instances", "", nil)
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"id":"net"`) {
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"id":"net","rev":2,`) {
 		t.Fatalf("list: %d %s", rec.Code, rec.Body)
 	}
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -122,7 +123,6 @@ func TestInstanceHTTPLifecycle(t *testing.T) {
 	for _, want := range []string{
 		"antennad_instance_repairs_total 1",
 		"antennad_instance_conflicts_total 1",
-		`antennad_instance_revision{instance="net"} 2`,
 		"antennad_instance_dirty_fraction_bucket",
 		"antennad_instance_churn_seconds_count 1",
 		"antennad_instances 1",

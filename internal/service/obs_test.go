@@ -484,3 +484,42 @@ func TestMetricsReferenceMatchesScrape(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCardinalityFlatInInstances: /metrics renders the same
+// families, in the same order and the same number of lines, with one
+// live instance as with eight, and carries no instance label —
+// per-instance detail is served by GET /instances.
+func TestMetricsCardinalityFlatInInstances(t *testing.T) {
+	h := NewServer(NewEngine(Options{})).Handler()
+	live := 0
+	scrape := func(want int) ([]string, int) {
+		t.Helper()
+		for ; live < want; live++ {
+			body := fmt.Sprintf(`{"id":"c%d","gen":{"workload":"uniform","n":40,"seed":%d},"k":2,"phi":0,"algo":"tworay"}`, live, live+1)
+			if rec, _ := doJSON(t, h, "POST", "/instances", body, nil); rec.Code != http.StatusCreated {
+				t.Fatalf("create %d: %d %s", live, rec.Code, rec.Body)
+			}
+		}
+		rec, _ := doJSON(t, h, "GET", "/metrics", "", nil)
+		body := rec.Body.String()
+		if strings.Contains(body, `instance="`) {
+			t.Errorf("/metrics with %d live instances carries an instance label", want)
+		}
+		if !strings.Contains(body, fmt.Sprintf("\nantennad_instances %d\n", want)) {
+			t.Errorf("/metrics does not report %d live instances", want)
+		}
+		_, order, err := obs.ParsePrometheus(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return order, strings.Count(body, "\n")
+	}
+	oneFams, oneLines := scrape(1)
+	eightFams, eightLines := scrape(8)
+	if strings.Join(oneFams, " ") != strings.Join(eightFams, " ") {
+		t.Errorf("family set changed with the instance count:\n1: %v\n8: %v", oneFams, eightFams)
+	}
+	if oneLines != eightLines {
+		t.Errorf("/metrics grew from %d lines (1 instance) to %d (8 instances)", oneLines, eightLines)
+	}
+}

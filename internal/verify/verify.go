@@ -159,44 +159,31 @@ func SymmetricConnected(g *graph.Digraph) bool {
 	if n <= 1 {
 		return true
 	}
-	dsu := graph.NewDSU(n)
-	if n >= symParMin {
-		// The mutual-edge discovery — a binary search per directed edge —
-		// is the expensive half; it reads only the frozen adjacency, so it
-		// fans out across CPUs into per-chunk buffers. The union pass stays
-		// serial: connectivity (dsu.Sets) is invariant under union order.
-		const chunk = 2048
-		nc := (n + chunk - 1) / chunk
-		mutual := make([][][2]int32, nc)
-		par.For(0, nc, 1, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				end := (c + 1) * chunk
-				if end > n {
-					end = n
-				}
-				var buf [][2]int32
-				for u := c * chunk; u < end; u++ {
-					for _, v := range g.Adj[u] {
-						if u < v && g.HasEdge(v, u) {
-							buf = append(buf, [2]int32{int32(u), int32(v)})
-						}
-					}
-				}
-				mutual[c] = buf
-			}
-		})
-		for _, buf := range mutual {
-			for _, e := range buf {
-				dsu.Union(int(e[0]), int(e[1]))
-			}
-		}
-	} else {
-		for u := 0; u < n; u++ {
+	// The mutual-edge discovery — a reverse-adjacency scan per directed
+	// edge — is the expensive half; it reads only the frozen adjacency, so it fans
+	// out over fixed vertex blocks into per-block buffers (one inline
+	// block below symParMin). The union pass stays serial: connectivity
+	// (dsu.Sets) is invariant under union order.
+	workers := par.Workers(0)
+	if n < symParMin {
+		workers = 1
+	}
+	mutual := make([][][2]int32, (n+symBlock-1)/symBlock)
+	par.For(workers, n, symBlock, func(lo, hi int) {
+		var buf [][2]int32
+		for u := lo; u < hi; u++ {
 			for _, v := range g.Adj[u] {
 				if u < v && g.HasEdge(v, u) {
-					dsu.Union(u, v)
+					buf = append(buf, [2]int32{int32(u), int32(v)})
 				}
 			}
+		}
+		mutual[lo/symBlock] = buf
+	})
+	dsu := graph.NewDSU(n)
+	for _, buf := range mutual {
+		for _, e := range buf {
+			dsu.Union(int(e[0]), int(e[1]))
 		}
 	}
 	return dsu.Sets() == 1
@@ -205,6 +192,9 @@ func SymmetricConnected(g *graph.Digraph) bool {
 // symParMin is the vertex count below which SymmetricConnected scans
 // serially; fan-out overhead beats the win on small digraphs.
 const symParMin = 4096
+
+// symBlock is SymmetricConnected's fan-out grain in vertices.
+const symBlock = 2048
 
 // CheckStrong is the minimal check: the induced digraph is strongly
 // connected.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/antenna"
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/pointset"
 )
 
@@ -117,5 +118,31 @@ func TestCheckTrivial(t *testing.T) {
 	}
 	if !CheckStrong(one) {
 		t.Fatal("CheckStrong single failed")
+	}
+}
+
+// TestSymmetricConnectedAcrossBlocks: a mutual path whose edges cross
+// the fan-out blocks connects below and above symParMin, and one
+// one-way link anywhere on it disconnects.
+func TestSymmetricConnectedAcrossBlocks(t *testing.T) {
+	for _, n := range []int{7, symParMin - 1, symParMin + 3*symBlock/2} {
+		for _, cut := range []int{-1, 0, symBlock - 1, n - 2} {
+			if cut >= n-1 {
+				continue
+			}
+			g := graph.NewDigraph(n)
+			for u := 0; u+1 < n; u++ {
+				g.AddEdge(u, u+1)
+				if u != cut {
+					g.AddEdge(u+1, u)
+				}
+				if u+3 < n {
+					g.AddEdge(u, u+3) // one-way chords never count
+				}
+			}
+			if got, want := SymmetricConnected(g), cut < 0; got != want {
+				t.Errorf("n=%d cut=%d: SymmetricConnected = %v, want %v", n, cut, got, want)
+			}
+		}
 	}
 }
