@@ -135,3 +135,31 @@ func TestAlgosSortedStable(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateFailSolvesOnce: simulate -sim fail orients its input once.
+// The live instance's revision 1 is a memory hit on the artifact the
+// header was read from, and at this budget the kills are repaired
+// incrementally, so the engine computes exactly one artifact.
+func TestSimulateFailSolvesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pts.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pointset.WriteCSV(f, pointset.Workload("uniform", rand.New(rand.NewSource(3)), 300)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	eng := service.Shared()
+	solves := eng.Metrics().Solves.Load()
+	hits, _ := eng.Cache().Stats()
+	if err := cmdSimulate([]string{"-in", path, "-sim", "fail", "-k", "1", "-phi", "0", "-fails", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Metrics().Solves.Load() - solves; n != 1 {
+		t.Fatalf("%d solves, want 1", n)
+	}
+	if h, _ := eng.Cache().Stats(); h == hits {
+		t.Fatal("the live instance's revision 1 was not a memory hit on the header's artifact")
+	}
+}

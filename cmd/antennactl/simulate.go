@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/radio"
 	"repro/internal/route"
+	"repro/internal/service"
 )
 
 // cmdSimulate runs a communication simulation over an oriented network:
@@ -33,12 +35,19 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	asg, res, err := core.Orient(pts, *k, phi)
+	// One solve per invocation: fail mode's live instance solves the same
+	// request as its revision 1, a memory hit on this artifact.
+	sol, _, err := service.Shared().Solve(context.Background(),
+		service.Request{Pts: pts, K: *k, Phi: phi, Algo: core.DefaultOrienterName})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("network     %d sensors, %d edges, %s\n", len(pts), sol.Edges, sol.Construction)
+	asg, err := sol.Assignment(pts)
 	if err != nil {
 		return err
 	}
 	g := asg.InducedDigraph()
-	fmt.Printf("network     %d sensors, %d edges, %s\n", len(pts), g.NumEdges(), res.Algorithm)
 
 	switch *mode {
 	case "broadcast":

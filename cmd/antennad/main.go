@@ -1,14 +1,17 @@
 // Command antennad is the long-running orientation service: the same
 // plan→solution engine the CLI tools use, behind an HTTP/JSON API.
-// Every cache miss orients on its own goroutine, identical in-flight
-// requests share one solve (single-flight), and artifacts are served
-// from two content-addressed tiers — a byte-charged in-memory LRU and
-// an optional durable disk store (-store) that survives restarts — so
+// Every cache miss is solved on its own goroutine, identical requests
+// share one solve (single-flight), and artifacts are served from two
+// content-addressed tiers — a byte-charged in-memory LRU and an
+// optional durable disk store (-store) that survives restarts — so
 // repeated requests return byte-identical solutions without
 // re-orienting, even across a redeploy. The server sheds load above
-// -max-inflight with 429 + Retry-After (the bound on concurrent /orient
-// solves) and bounds each request by -deadline (503 when exceeded); see
-// docs/OPERATIONS.md for the full operational story.
+// -max-inflight with 429 + Retry-After (the bound on /orient solves
+// with a caller waiting) and bounds each request by -deadline (503
+// when exceeded). A solve whose callers all hit their deadline keeps
+// running, up to GOMAXPROCS of them, so a retry joins it instead of
+// starting another; see docs/OPERATIONS.md for the full operational
+// story.
 //
 // The server also hosts the live-instance tier (internal/instance):
 // named long-lived networks mutated through Add/Remove/Move batches,

@@ -160,33 +160,29 @@ func RunScenario(pts []geom.Point, sc Scenario, rng *rand.Rand) ([]StageResult, 
 
 		// Apply the kills as one mutation batch, highest index first so
 		// the sequential remove semantics leave earlier targets intact.
-		ops := make([]instance.Op, len(newlyFailed))
 		sorted := append([]int(nil), newlyFailed...)
-		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+		sort.Ints(sorted)
+		ops := make([]instance.Op, len(sorted))
 		for i, idx := range sorted {
-			ops[i] = instance.Op{Op: solution.OpRemove, Index: idx}
+			ops[len(ops)-1-i] = instance.Op{Op: solution.OpRemove, Index: idx}
 		}
 		snap, err = mgr.Apply(context.Background(), id, 0, ops)
 		if err != nil {
 			return nil, err
 		}
-		// Maintain the original→current index map.
-		dead := make(map[int]bool, len(newlyFailed))
-		for _, idx := range newlyFailed {
-			dead[idx] = true
-		}
-		for orig, cur := range alive {
-			if cur < 0 || dead[alive[orig]] {
-				alive[orig] = -1
-				continue
-			}
-			shift := 0
-			for _, idx := range sorted {
-				if cur > idx {
-					shift++
+		// Maintain the original→current index map for the next stage: a
+		// survivor moves down by the number of removed indices below it.
+		if f+sc.Step <= sc.MaxFails {
+			for orig, cur := range alive {
+				if cur < 0 {
+					continue
+				}
+				if below := sort.SearchInts(sorted, cur); below < len(sorted) && sorted[below] == cur {
+					alive[orig] = -1
+				} else {
+					alive[orig] = cur - below
 				}
 			}
-			alive[orig] = cur - shift
 		}
 
 		rep := RepairResult{

@@ -29,9 +29,9 @@ const (
 )
 
 // Trace accumulates the spans recorded while serving one request. All
-// methods are safe for concurrent use: phases the engine runs off the
-// request goroutine (the orientation, salvage completions) record from
-// their own goroutines.
+// methods are safe for concurrent use: the phases of a miss (plan,
+// EMST, orientation, verification, fill) record from the flight's own
+// goroutine, off the request goroutine.
 type Trace struct {
 	// ID is the request's trace identifier, echoed on the X-Trace-Id
 	// response header. Immutable after NewTrace.

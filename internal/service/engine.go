@@ -4,13 +4,14 @@
 // cmd/antennactl in-process, and the cmd/antennad HTTP server — solves
 // through Engine.Solve, which checks the two cache tiers (the in-memory
 // byte-charged LRU, then the durable disk store that survives restarts),
-// single-flights identical in-flight requests into one solve, plans via
-// the orienter registry's declared guarantees (internal/plan), builds the
-// point set's EMST once, orients each miss from that tree on its own
-// goroutine under the flight's context, audits the
-// output with the independent verifier, and fills both tiers with the
-// resulting artifact, content-addressed by (pointset digest, budget,
-// selection mode). The HTTP surface (http.go) adds the request-lifecycle
+// single-flights identical requests into one solve (a retry after every
+// caller left joins the solve still running), plans via the orienter
+// registry's declared guarantees (internal/plan), builds the point set's
+// EMST once, orients each miss from that tree on the flight's own
+// goroutine under the flight's context, audits the output with the
+// independent verifier, and fills both tiers with the resulting
+// artifact, content-addressed by (pointset digest, budget, selection
+// mode). The HTTP surface (http.go) adds the request-lifecycle
 // guardrails: bounded-inflight load shedding (429 + Retry-After) and
 // per-request deadlines (503), with every counter exported on /metrics.
 package service
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -139,6 +141,11 @@ type Engine struct {
 
 	flightMu sync.Mutex
 	flights  map[solution.Key]*flight
+	// detached counts flights in the table that no caller waits for;
+	// maxDetached bounds it (GOMAXPROCS, set by NewEngine). Both are
+	// guarded by flightMu.
+	detached    int
+	maxDetached int
 
 	// Negative cache: requests that failed deterministically (no
 	// feasible orienter for the budget/objective) are remembered so a
@@ -168,15 +175,17 @@ func (e *InfeasibleError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *InfeasibleError) Unwrap() error { return e.Err }
 
-// flight is one in-progress solve that identical concurrent requests
-// attach to instead of solving again. The solve runs on the flight's
-// own detached context (ctx), never any single caller's: each
+// flight is one in-progress solve that identical requests attach to
+// instead of solving again. The solve runs on lead's goroutine under
+// the flight's own context (ctx), never any single caller's: each
 // participant waits with its own context and leaves at its own
-// deadline while the leader goroutine keeps solving for the
-// survivors. refs counts participants (guarded by Engine.flightMu);
-// the last one out cancels ctx, abandoning a solve nobody is waiting
-// for (its result is still salvaged into the cache tiers when it
-// lands). The leader goroutine fills sol/err and closes done.
+// deadline. refs counts the participants waiting now (guarded by
+// Engine.flightMu). The flight stays in Engine.flights until lead
+// retires it, so an identical request arriving while it runs joins it,
+// a retry after every caller left included. A flight with no caller is
+// detached; past Engine.maxDetached of those, the last caller out
+// retires the flight and cancels ctx instead. lead fills sol/err and
+// closes done.
 type flight struct {
 	key    solution.Key
 	done   chan struct{}
@@ -193,12 +202,13 @@ func NewEngine(opts Options) *Engine {
 		opts.CacheMaxBytes = solution.DefaultCacheBytes
 	}
 	e := &Engine{
-		cache:   solution.NewCacheSized(opts.CacheSize, opts.CacheMaxBytes),
-		store:   opts.Store,
-		opts:    opts,
-		flights: make(map[solution.Key]*flight),
-		neg:     make(map[solution.Key]error),
-		negLL:   list.New(),
+		cache:       solution.NewCacheSized(opts.CacheSize, opts.CacheMaxBytes),
+		store:       opts.Store,
+		opts:        opts,
+		flights:     make(map[solution.Key]*flight),
+		maxDetached: runtime.GOMAXPROCS(0),
+		neg:         make(map[solution.Key]error),
+		negLL:       list.New(),
 	}
 	e.metrics.init(e)
 	return e
@@ -333,11 +343,14 @@ func (e *Engine) solve(ctx context.Context, req Request) (*solution.Solution, Ca
 	// Single-flight: identical in-flight requests share one solve. The
 	// solve runs on the flight's own context, so no participant's
 	// deadline bounds another's: a short-deadline waiter answers 503 at
-	// *its* deadline while the solve keeps running for the survivors,
-	// and a waiter that outlives the caller that started the flight
-	// still receives the artifact.
+	// *its* deadline while the solve keeps running, and a waiter that
+	// outlives the caller that started the flight, or a retry that
+	// arrives after every caller left, still receives the artifact.
 	e.flightMu.Lock()
 	if f, ok := e.flights[key]; ok {
+		if f.refs == 0 {
+			e.detached--
+		}
 		f.refs++
 		e.flightMu.Unlock()
 		e.metrics.Coalesced.Add(1)
@@ -366,9 +379,10 @@ func (e *Engine) solve(ctx context.Context, req Request) (*solution.Solution, Ca
 }
 
 // lead runs the shared solve for a flight and retires it: sol/err are
-// filled, the flight leaves the table (after the cache fill inside
-// finish, so a request arriving later sees the cache instead of a
-// stale flight), and done releases every waiter.
+// filled, the flight leaves the table unless leave already retired it
+// (after the cache fill inside finish, so a request arriving later sees
+// the cache instead of a stale flight), its context is released, and
+// done releases every waiter.
 func (e *Engine) lead(f *flight, req Request) {
 	f.sol, f.err = e.solveMiss(f.ctx, req, f.key)
 	var inf *InfeasibleError
@@ -378,8 +392,12 @@ func (e *Engine) lead(f *flight, req Request) {
 	e.flightMu.Lock()
 	if e.flights[f.key] == f {
 		delete(e.flights, f.key)
+		if f.refs == 0 {
+			e.detached--
+		}
 	}
 	e.flightMu.Unlock()
+	f.cancel()
 	close(f.done)
 }
 
@@ -397,34 +415,32 @@ func (e *Engine) await(ctx context.Context, f *flight) (*solution.Solution, Cach
 	}
 }
 
-// leave drops a participant's flight reference. The last one out
-// retires the flight (so a later identical request starts fresh
-// instead of joining a cancelled solve) and cancels the flight
-// context; solveMiss's salvage path still writes the abandoned
-// orientation into both tiers when it lands.
+// leave drops a participant's flight reference. When the last one
+// leaves, the flight runs on detached, still joinable, if fewer than
+// maxDetached others do; past that bound it leaves the table (so a
+// later identical request starts fresh instead of joining a cancelled
+// solve) and its context is cancelled, so a construction with
+// cancellation checkpoints (the tour 2-opt loop) stops at the next one.
 func (e *Engine) leave(f *flight) {
 	e.flightMu.Lock()
-	f.refs--
-	last := f.refs == 0
-	if last && e.flights[f.key] == f {
-		delete(e.flights, f.key)
+	defer e.flightMu.Unlock()
+	if f.refs--; f.refs > 0 || e.flights[f.key] != f {
+		return
 	}
-	e.flightMu.Unlock()
-	if last {
-		f.cancel()
+	if e.detached < e.maxDetached {
+		e.detached++
+		return
 	}
+	delete(e.flights, f.key)
+	f.cancel()
 }
 
 // solveMiss computes, verifies, and caches the artifact for a request
-// that missed both tiers. Errors are never cached. Deadline expiry is
-// strict but not wasteful: when the orientation lands after the
-// caller's deadline, the caller gets ctx.Err() while the finished
-// artifact is still verified and written into both tiers (synchronously
-// if the result was already in hand, in the background otherwise), so a
-// retry hits the cache instead of re-paying the solve. That includes a
-// flight abandoned during its EMST build: it still orients, uncancelled,
-// on the salvage path, so a deadline shorter than the build does not
-// leave every retry rebuilding the tree for nothing.
+// that missed both tiers, on the flight's goroutine under its context.
+// Errors are never cached. The context is cancelled only once the
+// flight is abandoned past the detached bound, so nobody reads an
+// early return: the check after the EMST build and the constructions'
+// own checkpoints only stop work that no caller waits for.
 func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (*solution.Solution, error) {
 	_, endPlan := obs.StartSpan(ctx, "plan")
 	algo, decision, err := e.selectAlgo(req)
@@ -449,14 +465,10 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 	_, endEMST := obs.StartSpan(ctx, "emst")
 	tree := mst.Euclidean(req.Pts)
 	endEMST()
-	lmax := tree.LMax()
-	octx := ctx
-	if ctx.Err() != nil {
-		// Abandoned during the build: a construction would refuse the
-		// done context before starting, so orient without its
-		// cancellation and let the salvage path below fill the tiers.
-		octx = context.WithoutCancel(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	lmax := tree.LMax()
 
 	if decision != nil && req.Objective.Deadline > 0 {
 		e.metrics.Races.Add(1)
@@ -473,57 +485,16 @@ func (e *Engine) solveMiss(ctx context.Context, req Request, key solution.Key) (
 		}
 	}
 
-	// Every miss orients on its own goroutine under the flight context,
-	// so a large solve never queues a small one behind it, and a flight
-	// abandoned once it is orienting stops at the construction's next
-	// cancellation checkpoint. The channel is buffered so the orienter
-	// never blocks when the wait below is abandoned.
 	_, endOrient := obs.StartSpan(ctx, "orient")
-	resc := make(chan orientOutcome, 1)
-	go func() {
-		var out orientOutcome
-		out.asg, out.res, out.err = orienter.OrientCtx(octx, tree, req.K, req.Phi)
-		resc <- out
-	}()
-	select {
-	case out := <-resc:
-		endOrient()
-		if out.err != nil {
-			if ctx.Err() != nil {
-				e.noteCtxErr(ctx.Err())
-			} else {
-				e.metrics.OrientErrors.Add(1)
-			}
-			return nil, out.err
+	asg, res, err := orienter.OrientCtx(ctx, tree, req.K, req.Phi)
+	endOrient()
+	if err != nil {
+		if ctx.Err() == nil {
+			e.metrics.OrientErrors.Add(1)
 		}
-		if err := ctx.Err(); err != nil {
-			// Strict deadline semantics: a result landing after the
-			// deadline reports the expiry, never a lucky scheduling
-			// race — but the artifact is salvaged for the tiers.
-			e.noteCtxErr(err)
-			e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
-			return nil, err
-		}
-		return e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax), nil
-	case <-ctx.Done():
-		endOrient()
-		// The caller is unblocked now; salvage the abandoned solve when
-		// it eventually lands so a retry does not re-pay it.
-		go func() {
-			if out := <-resc; out.err == nil {
-				e.finish(ctx, req, key, decision, guar, out.asg, out.res, lmax)
-			}
-		}()
-		e.noteCtxErr(ctx.Err())
-		return nil, ctx.Err()
+		return nil, err
 	}
-}
-
-// orientOutcome carries one orientation's result from its goroutine.
-type orientOutcome struct {
-	asg *antenna.Assignment
-	res *core.Result
-	err error
+	return e.finish(ctx, req, key, decision, guar, asg, res, lmax), nil
 }
 
 // finish runs the post-orientation tail — independent verification,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/pointset"
+	"repro/internal/solution"
 	"repro/internal/verify"
 )
 
@@ -229,12 +230,18 @@ func phaseSpan(tr *obs.Trace, name string) (started, open bool) {
 // waitForOrient blocks until the traced flight has started orienting.
 func waitForOrient(t *testing.T, tr *obs.Trace) {
 	t.Helper()
+	waitForPhase(t, tr, "orient")
+}
+
+// waitForPhase blocks until the traced flight has opened the named span.
+func waitForPhase(t *testing.T, tr *obs.Trace, name string) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if started, _ := phaseSpan(tr, "orient"); started {
+		if started, _ := phaseSpan(tr, name); started {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the traced miss did not start orienting within 5s")
+			t.Fatalf("the traced miss did not start its %s phase within 5s", name)
 		}
 	}
 }
@@ -320,22 +327,34 @@ func TestMissAbandonedDuringBuildIsSalvaged(t *testing.T) {
 	}
 }
 
-// solveMissGoroutines reports whether any goroutine is still running a
-// closure of Engine.solveMiss: an orientation, or the salvage of an
-// abandoned one.
-func solveMissGoroutines() bool {
-	buf := make([]byte, 1<<18)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("service.(*Engine).solveMiss.func"))
+// solveGoroutines reports whether any goroutine is still running a
+// flight's solve: Engine.lead, or a goroutine Engine.solveMiss started.
+func solveGoroutines() bool {
+	buf := make([]byte, 1<<20)
+	stacks := buf[:runtime.Stack(buf, true)]
+	return bytes.Contains(stacks, []byte("service.(*Engine).lead")) ||
+		bytes.Contains(stacks, []byte("service.(*Engine).solveMiss"))
+}
+
+// waitSolvesDrained blocks until no flight's solve is running.
+func waitSolvesDrained(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); solveGoroutines(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a solve was still running after a minute")
+		}
+	}
 }
 
 // TestAbandonedTourMissStopsAtCheckpoint: when the only caller of a
-// running tour miss gives up, the flight context is cancelled and the
-// 2-opt loop stops at its next checkpoint. Once the orientation and any
-// salvage of it have exited, nothing was salvaged into the cache and no
-// solve was counted; an orientation that ignored the context would have
-// run to completion and been salvaged.
+// running tour miss gives up and no detached flight may run on, the
+// flight context is cancelled and the 2-opt loop stops at its next
+// checkpoint. Once the flight's goroutine has exited, nothing was
+// cached and no solve was counted; an orientation that ignored the
+// context would have run to completion and filled the cache.
 func TestAbandonedTourMissStopsAtCheckpoint(t *testing.T) {
 	eng := NewEngine(Options{})
+	eng.maxDetached = 0
 	tr := obs.NewTrace("abandoned")
 	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
 	defer cancel()
@@ -350,15 +369,118 @@ func TestAbandonedTourMissStopsAtCheckpoint(t *testing.T) {
 		t.Fatalf("abandoned miss: err=%v, want context.Canceled", err)
 	}
 
-	for deadline := time.Now().Add(time.Minute); solveMissGoroutines(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the abandoned orientation was still running after a minute")
-		}
-	}
+	waitSolvesDrained(t)
 	if n := eng.Metrics().Solves.Load(); n != 0 {
-		t.Fatalf("%d solves counted: the abandoned tour ran to completion and was salvaged", n)
+		t.Fatalf("%d solves counted: the abandoned tour ran to completion", n)
 	}
 	if n := eng.Cache().Len(); n != 0 {
 		t.Fatalf("%d artifacts cached after an abandoned tour miss", n)
 	}
+}
+
+// TestRetryAfterDeadlineJoinsFlight: a client that retries at once after
+// each deadline expiry joins the flight its earlier attempts started,
+// even when every caller has left it, so the key is solved once however
+// many attempts it takes. The uninterrupted solve takes well over ten
+// times the deadline.
+func TestRetryAfterDeadlineJoinsFlight(t *testing.T) {
+	eng := NewEngine(Options{})
+	req := Request{Pts: uniformPts(2*holPoints(), 33), K: 2, Phi: 1.3 * math.Pi, Algo: "cover"}
+	const deadline = 5 * time.Millisecond
+	begin := time.Now()
+	attempts := 1
+	for ; ; attempts++ {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		_, _, err := eng.Solve(ctx, req)
+		cancel()
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("attempt %d: err=%v, want deadline exceeded", attempts, err)
+		}
+		if time.Since(begin) > time.Minute {
+			t.Fatalf("no attempt succeeded within a minute (%d attempts)", attempts)
+		}
+	}
+	if attempts == 1 {
+		t.Skipf("the first attempt beat its %v deadline", deadline)
+	}
+	t.Logf("first success after %d attempts, %v", attempts, time.Since(begin))
+	waitSolvesDrained(t)
+	if n := eng.Metrics().Solves.Load(); n != 1 {
+		t.Fatalf("%d solves of one key over %d attempts, want 1", n, attempts)
+	}
+	if eng.Metrics().Coalesced.Load() == 0 {
+		t.Fatal("no retry joined the running flight")
+	}
+}
+
+// TestDetachedFlightsBounded: with room for one detached flight, the
+// first of two abandoned tour misses keeps running and stays joinable,
+// while the second is retired and cancelled, so its 2-opt loop stops at
+// a checkpoint and nothing of it is cached.
+func TestDetachedFlightsBounded(t *testing.T) {
+	eng := NewEngine(Options{})
+	eng.maxDetached = 1
+	// The kept miss is twice the size and abandoned during its EMST
+	// build, so it is still running after the dropped one has been
+	// abandoned at the start of its orientation.
+	kept := Request{Pts: uniformPts(2*holPoints(), 34), K: 1, Phi: 0, Algo: "tour"}
+	dropped := Request{Pts: uniformPts(holPoints(), 35), K: 1, Phi: 0, Algo: "tour"}
+	abandon := func(req Request, phase string) {
+		tr := obs.NewTrace("abandoned")
+		ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+		defer cancel()
+		solveErr := make(chan error, 1)
+		go func() {
+			_, _, err := eng.Solve(ctx, req)
+			solveErr <- err
+		}()
+		waitForPhase(t, tr, phase)
+		cancel()
+		if _, open := phaseSpan(tr, phase); !open {
+			t.Skipf("the %s phase finished before the cancellation landed", phase)
+		}
+		if err := <-solveErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("miss abandoned in its %s phase: err=%v, want context.Canceled", phase, err)
+		}
+	}
+	abandon(kept, "emst")
+	abandon(dropped, "orient")
+
+	eng.flightMu.Lock()
+	_, keptLive := eng.flights[requestKey(kept)]
+	_, droppedLive := eng.flights[requestKey(dropped)]
+	detached := eng.detached
+	eng.flightMu.Unlock()
+	if !keptLive || droppedLive || detached != 1 {
+		t.Fatalf("after abandoning two misses: kept in table=%v, dropped in table=%v, detached=%d; want true, false, 1",
+			keptLive, droppedLive, detached)
+	}
+	if sol, src, err := eng.Solve(context.Background(), kept); err != nil || src != SourceMiss || !sol.Verified {
+		t.Fatalf("joining the detached flight: src=%v err=%v", src, err)
+	}
+	if n := eng.Metrics().Coalesced.Load(); n != 1 {
+		t.Fatalf("coalesced=%d, want 1: the retry did not join the detached flight", n)
+	}
+
+	waitSolvesDrained(t)
+	if n := eng.Metrics().Solves.Load(); n != 1 {
+		t.Fatalf("%d solves counted, want 1: the cancelled tour ran to completion", n)
+	}
+	if _, ok := eng.Cache().Peek(requestKey(dropped)); ok {
+		t.Fatal("the cancelled tour's artifact was cached")
+	}
+	eng.flightMu.Lock()
+	defer eng.flightMu.Unlock()
+	if eng.detached != 0 || len(eng.flights) != 0 {
+		t.Fatalf("after the drain: detached=%d flights=%d, want 0, 0", eng.detached, len(eng.flights))
+	}
+}
+
+// requestKey is the cache and flight key Solve derives for a request
+// with an explicit algorithm.
+func requestKey(req Request) solution.Key {
+	return solution.Key{Digest: solution.Digest(req.Pts), K: req.K, Phi: req.Phi, Mode: req.mode()}
 }

@@ -47,6 +47,7 @@ func (m *Metrics) init(e *Engine) {
 	m.Requests = r.Counter("antennad_requests_total", "Solve calls received")
 	m.Solves = r.Counter("antennad_solves_total", "artifacts actually computed (misses after coalescing)")
 	m.Coalesced = r.Counter("antennad_coalesced_total", "requests that shared an identical in-flight solve")
+	r.Func("antennad_flights_detached", "solves whose callers all left, still running for a retry to join", "gauge", func() uint64 { e.flightMu.Lock(); defer e.flightMu.Unlock(); return uint64(e.detached) })
 	m.Shed = r.Counter("antennad_shed_total", "requests shed with 429 by the inflight bound")
 	m.DeadlineExceeded = r.Counter("antennad_deadline_exceeded_total", "requests abandoned on an expired deadline")
 	m.Panics = r.Counter("antennad_panics_total", "handler panics recovered by the middleware")

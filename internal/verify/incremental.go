@@ -393,11 +393,10 @@ func (v *Incremental) Apply(asg *antenna.Assignment, grid *spatial.Grid, old2new
 	return v.report(knownLMax)
 }
 
-// report audits the maintained state against the budgets, mirroring
-// Check's report semantics.
+// report audits the maintained state against the budgets through the
+// verdict Check renders (judge).
 func (v *Incremental) report(knownLMax float64) *Report {
 	rep := &Report{Edges: v.edges, LMax: knownLMax}
-	n := len(v.idOf)
 	for _, id := range v.idOf {
 		if int(v.ants[id]) > rep.MaxAntennas {
 			rep.MaxAntennas = int(v.ants[id])
@@ -409,56 +408,7 @@ func (v *Incremental) report(knownLMax float64) *Report {
 			rep.MaxRadius = v.radius[id]
 		}
 	}
-
-	if v.b.Symmetric && v.conn.Connected() {
-		rep.Symmetric = true
-		rep.Strong = true
-		rep.SCCCount = 1
-		if rep.LargestSCC = n; n == 0 {
-			rep.SCCCount = 0
-		}
-	} else {
-		g := v.Digraph()
-		comp, ncomp := graph.TarjanSCC(g)
-		rep.SCCCount = ncomp
-		sizes := make(map[int]int)
-		for _, c := range comp {
-			sizes[c]++
-		}
-		for _, s := range sizes {
-			if s > rep.LargestSCC {
-				rep.LargestSCC = s
-			}
-		}
-		rep.Strong = n <= 1 || ncomp == 1
-		if !rep.Strong {
-			rep.errorf("induced digraph has %d strongly connected components (n=%d)", ncomp, n)
-		}
-	}
-
-	if v.b.K > 0 && rep.MaxAntennas > v.b.K {
-		rep.errorf("a sensor uses %d antennae, budget %d", rep.MaxAntennas, v.b.K)
-	}
-	if rep.MaxSpread > v.b.Phi+1e-7 {
-		rep.errorf("a sensor uses spread %.6f, budget %.6f", rep.MaxSpread, v.b.Phi)
-	}
-	if n > 1 {
-		if rep.LMax > 0 {
-			rep.RadiusRatio = rep.MaxRadius / rep.LMax
-		}
-		if v.b.RadiusBound > 0 && rep.RadiusRatio > v.b.RadiusBound+1e-7 {
-			rep.errorf("radius ratio %.6f exceeds bound %.6f", rep.RadiusRatio, v.b.RadiusBound)
-		}
-	}
-	if v.b.StrongC > 1 {
-		rep.CConnected = graph.StronglyCConnected(v.Digraph(), v.b.StrongC)
-		if !rep.CConnected {
-			rep.errorf("induced digraph is not strongly %d-connected", v.b.StrongC)
-		}
-	}
-	if v.b.Symmetric && !rep.Symmetric {
-		rep.errorf("mutual (bidirectional) edges do not connect the network")
-	}
+	rep.judge(v.b, len(v.idOf), v.b.Symmetric && v.conn.Connected(), v.Digraph)
 	return rep
 }
 

@@ -81,12 +81,38 @@ func Check(asg *antenna.Assignment, b Budgets) *Report {
 	n := asg.N()
 	g := asg.InducedDigraph()
 	rep.Edges = g.NumEdges()
-	// For symmetric budgets the mutual-edge audit runs first: mutual
-	// edges connecting every vertex imply strong connectivity outright
-	// (each mutual edge is a directed edge both ways), so the SCC pass is
-	// provably redundant and skipped. A failed symmetric audit falls
-	// through to the full SCC analysis so the report stays exact.
-	if b.Symmetric && SymmetricConnected(g) {
+	rep.MaxAntennas = asg.MaxAntennas()
+	rep.MaxSpread = asg.MaxSpread()
+	rep.MaxRadius = asg.MaxRadius()
+	if n > 1 {
+		if b.KnownLMax > 0 {
+			rep.LMax = b.KnownLMax
+		} else {
+			rep.LMax = mst.Euclidean(asg.Pts).LMax()
+		}
+	}
+	rep.judge(b, n, b.Symmetric && SymmetricConnected(g), func() *graph.Digraph { return g })
+	return rep
+}
+
+// judge renders the verdict Check and Incremental.report share, from
+// the measurements rep already carries (Edges, MaxAntennas, MaxSpread,
+// MaxRadius, LMax) for n sensors. mutual is the symmetric audit, run
+// only for symmetric budgets: mutual edges connecting every vertex
+// imply strong connectivity outright (each mutual edge is a directed
+// edge both ways), so the SCC pass is provably redundant and skipped,
+// while a failed audit falls through to the full SCC analysis so the
+// report stays exact. digraph builds the induced digraph; judge calls
+// it at most once.
+func (rep *Report) judge(b Budgets, n int, mutual bool, digraph func() *graph.Digraph) {
+	var g *graph.Digraph
+	induced := func() *graph.Digraph {
+		if g == nil {
+			g = digraph()
+		}
+		return g
+	}
+	if mutual {
 		rep.Symmetric = true
 		rep.Strong = true
 		rep.SCCCount = 1
@@ -94,7 +120,7 @@ func Check(asg *antenna.Assignment, b Budgets) *Report {
 			rep.SCCCount = 0
 		}
 	} else {
-		comp, ncomp := graph.TarjanSCC(g)
+		comp, ncomp := graph.TarjanSCC(induced())
 		rep.SCCCount = ncomp
 		sizes := make(map[int]int)
 		for _, c := range comp {
@@ -111,21 +137,13 @@ func Check(asg *antenna.Assignment, b Budgets) *Report {
 		}
 	}
 
-	rep.MaxAntennas = asg.MaxAntennas()
 	if b.K > 0 && rep.MaxAntennas > b.K {
 		rep.errorf("a sensor uses %d antennae, budget %d", rep.MaxAntennas, b.K)
 	}
-	rep.MaxSpread = asg.MaxSpread()
 	if rep.MaxSpread > b.Phi+1e-7 {
 		rep.errorf("a sensor uses spread %.6f, budget %.6f", rep.MaxSpread, b.Phi)
 	}
-	rep.MaxRadius = asg.MaxRadius()
 	if n > 1 {
-		if b.KnownLMax > 0 {
-			rep.LMax = b.KnownLMax
-		} else {
-			rep.LMax = mst.Euclidean(asg.Pts).LMax()
-		}
 		if rep.LMax > 0 {
 			rep.RadiusRatio = rep.MaxRadius / rep.LMax
 		}
@@ -134,20 +152,14 @@ func Check(asg *antenna.Assignment, b Budgets) *Report {
 		}
 	}
 	if b.StrongC > 1 {
-		rep.CConnected = graph.StronglyCConnected(g, b.StrongC)
+		rep.CConnected = graph.StronglyCConnected(induced(), b.StrongC)
 		if !rep.CConnected {
 			rep.errorf("induced digraph is not strongly %d-connected", b.StrongC)
 		}
 	}
 	if b.Symmetric && !rep.Symmetric {
-		// The fast path above did not certify symmetry; re-audit for the
-		// record and report the failure.
-		rep.Symmetric = SymmetricConnected(g)
-		if !rep.Symmetric {
-			rep.errorf("mutual (bidirectional) edges do not connect the network")
-		}
+		rep.errorf("mutual (bidirectional) edges do not connect the network")
 	}
-	return rep
 }
 
 // SymmetricConnected reports whether the subgraph of mutual edges (u→v
