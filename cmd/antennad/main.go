@@ -105,7 +105,7 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "in-memory cache byte budget; 0 = default (128 MiB)")
 	storeDir := flag.String("store", "", "directory for the durable artifact store; empty disables the disk tier")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk store byte cap; 0 = default (256 MiB)")
-	deadline := flag.Duration("deadline", 0, "per-request solve deadline (503 when exceeded); 0 disables")
+	deadline := flag.Duration("deadline", 0, "per-request deadline, counted from arrival (503 when exceeded); 0 disables")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent /orient requests before shedding 429; 0 = unbounded")
 	race := flag.Duration("race", 0, "default racing deadline for planner-selected requests; 0 disables racing")
 	repairThreshold := flag.Float64("repair-threshold", 0, "live-instance dirty fraction above which incremental repair falls back to a full solve; 0 = default (0.25), negative disables repair")

@@ -101,7 +101,8 @@ type Options struct {
 	// requests stay byte-identical across process restarts.
 	Store *solution.Store
 	// Deadline, when positive, is the per-request ceiling the HTTP
-	// layer imposes on /orient; an expired request answers 503.
+	// layer imposes on /orient and on instance creates and PATCHes,
+	// counted from the request's arrival; an expired request answers 503.
 	Deadline time.Duration
 	// MaxInflight, when positive, bounds concurrently served /orient
 	// requests; excess requests are shed with 429 + Retry-After

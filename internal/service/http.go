@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,12 +41,6 @@ import (
 // expired request answers 503. Semantics are documented in
 // docs/OPERATIONS.md.
 
-// wirePoint is one sensor coordinate in request JSON.
-type wirePoint struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
 // wireGen asks the server to generate the deployment instead of
 // shipping coordinates — handy for smoke tests and load generation.
 type wireGen struct {
@@ -77,9 +72,10 @@ func (w wireObjective) toObjective() (plan.Objective, error) {
 	return obj, nil
 }
 
-// orientRequest is the /orient (and /plan) request body.
+// orientRequest is the /orient (and /plan) request body. encoding/json
+// matches a point's "x" and "y" to geom.Point's X and Y.
 type orientRequest struct {
-	Points    []wirePoint    `json:"points,omitempty"`
+	Points    []geom.Point   `json:"points,omitempty"`
 	Gen       *wireGen       `json:"gen,omitempty"`
 	K         int            `json:"k"`
 	Phi       float64        `json:"phi"`
@@ -99,11 +95,7 @@ func (o orientRequest) points() ([]geom.Point, error) {
 		rng := rand.New(rand.NewSource(o.Gen.Seed))
 		return pointset.Workload(o.Gen.Workload, rng, o.Gen.N), nil
 	}
-	pts := make([]geom.Point, len(o.Points))
-	for i, p := range o.Points {
-		pts[i] = geom.Point{X: p.X, Y: p.Y}
-	}
-	return pts, nil
+	return o.Points, nil
 }
 
 // Server wires an Engine to the HTTP API.
@@ -314,6 +306,18 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return r.Context(), func() {}
 }
 
+// expired answers a request whose context ended before its solve
+// started — while its body was read or its points generated — and
+// reports whether it did.
+func (s *Server) expired(w http.ResponseWriter, ctx context.Context) bool {
+	err := ctx.Err()
+	if err == nil {
+		return false
+	}
+	s.eng.noteCtxErr(err)
+	return s.contextError(w, err)
+}
+
 // contextError answers a request whose work ended on its context and
 // reports whether err was such an error. An expired deadline or a drain
 // abort (AbortInflight) is the server giving up, not the client: nothing
@@ -354,9 +358,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 // decodeJSON parses a request body without a method check — for handlers
 // whose mux registration already pins the method (the /instances routes).
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 128<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	_, end := obs.StartSpan(r.Context(), "decode")
+	// bytes.Buffer doubles as the body arrives; io.ReadAll grows by about
+	// 1.25× past a few KiB and leaves several bodies' worth of garbage.
+	var body bytes.Buffer
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 128<<20))
+	if err == nil {
+		err = decodeRequest(body.Bytes(), dst)
+	}
+	end()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -377,8 +388,16 @@ func (s *Server) handleOrient(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The deadline runs from arrival: reading the body and generating
+	// the points spend the client's budget too.
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
 	var body orientRequest
 	if !decodeBody(w, r, &body) {
+		return
+	}
+	if body.Format != "" && body.Format != "json" && body.Format != "binary" {
+		httpError(w, http.StatusBadRequest, "unknown format %q (json|binary)", body.Format)
 		return
 	}
 	pts, err := body.points()
@@ -399,8 +418,9 @@ func (s *Server) handleOrient(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Objective = obj
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
+	if s.expired(w, ctx) {
+		return
+	}
 	sol, src, err := s.eng.Solve(ctx, req)
 	if err != nil {
 		if !s.contextError(w, err) {
@@ -410,21 +430,20 @@ func (s *Server) handleOrient(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Cache", src.String())
 	obs.Annotate(r.Context(), "cache", src.String())
-	switch body.Format {
-	case "", "json":
-		data, err := sol.EncodeJSON()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encode: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-	case "binary":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(sol.EncodeBinary())
-	default:
-		httpError(w, http.StatusBadRequest, "unknown format %q (json|binary)", body.Format)
+	ctype, data := "application/json", []byte(nil)
+	_, endEncode := obs.StartSpan(ctx, "encode")
+	if body.Format == "binary" {
+		ctype, data = "application/octet-stream", sol.EncodeBinary()
+	} else {
+		data, err = sol.EncodeJSON()
 	}
+	endEncode()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", ctype)
+	_, _ = w.Write(data)
 }
 
 // planRequest is the /plan request body (no points needed: planning is

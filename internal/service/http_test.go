@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/instance"
 	"repro/internal/solution"
 )
 
@@ -228,5 +230,71 @@ func TestOrientBadRequests(t *testing.T) {
 	resp, _ := post(t, ts.URL+"/orient", `{"gen":{"workload":"uniform","n":10,"seed":1},"k":0,"phi":0}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("k=0 status %d, want 422", resp.StatusCode)
+	}
+}
+
+// slowBody is a request body whose reader stalls for delay before it
+// reports EOF: a client that trickles its upload.
+type slowBody struct {
+	r     io.Reader
+	delay time.Duration
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF && b.delay > 0 {
+		time.Sleep(b.delay)
+		b.delay = 0
+	}
+	return n, err
+}
+
+// TestDeadlineCoversBodyRead: the -deadline budget runs from a request's
+// arrival, so a body that takes longer than the deadline to arrive
+// answers 503 without reaching a solve, on every route that solves.
+func TestDeadlineCoversBodyRead(t *testing.T) {
+	eng := NewEngine(Options{Deadline: 50 * time.Millisecond})
+	srv := NewServer(eng)
+	h := srv.Handler()
+	if _, err := srv.Instances().Create(context.Background(), "slow", benchLikePoints(10), instance.Budget{K: 2, Phi: 0, Algo: "tworay"}); err != nil {
+		t.Fatal(err)
+	}
+	solves := eng.Metrics().Solves.Load()
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/orient", string(benchShapedBody(10, 3))},
+		{http.MethodPost, "/instances", `{"id":"late","gen":{"workload":"uniform","n":10,"seed":3},"k":2,"phi":0,"algo":"tworay"}`},
+		{http.MethodPatch, "/instances/slow", `{"ops":[{"op":"move","index":3,"x":1.5,"y":2.5}]}`},
+	} {
+		req := httptest.NewRequest(c.method, c.path, &slowBody{r: strings.NewReader(c.body), delay: 100 * time.Millisecond})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s %s with a body slower than the deadline: status %d (Retry-After %q), want 503",
+				c.method, c.path, rec.Code, rec.Header().Get("Retry-After"))
+		}
+	}
+	if n := eng.Metrics().Solves.Load(); n != solves {
+		t.Errorf("%d solves ran for requests whose deadline had passed", n-solves)
+	}
+	if snap, err := srv.Instances().Get("slow", 0); err != nil || snap.Rev != 1 {
+		t.Errorf("instance after an expired PATCH: %v, %v; want revision 1", snap, err)
+	}
+}
+
+// TestUnknownFormatRejectedBeforeSolve: a request for an unknown artifact
+// format answers 400 without paying for a solve or filling either tier.
+func TestUnknownFormatRejectedBeforeSolve(t *testing.T) {
+	eng := NewEngine(Options{Store: openStore(t, t.TempDir())})
+	ts := httptest.NewServer(NewServer(eng).Handler())
+	defer ts.Close()
+	resp, body := post(t, ts.URL+"/orient", `{"gen":{"workload":"uniform","n":40,"seed":2},"k":2,"phi":0,"algo":"tworay","format":"xml"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown format \"xml\" (json|binary)`) {
+		t.Fatalf("status %d: %s, want 400 unknown format", resp.StatusCode, body)
+	}
+	if n := eng.Metrics().Solves.Load(); n != 0 {
+		t.Errorf("%d solves for a request with an unknown format", n)
+	}
+	if eng.Cache().Len() != 0 || eng.Store().Len() != 0 {
+		t.Errorf("unknown format filled the tiers: memory %d, disk %d", eng.Cache().Len(), eng.Store().Len())
 	}
 }

@@ -58,7 +58,7 @@ func NewInstanceManager(e *Engine) *instance.Manager {
 // vocabulary plus an optional client-chosen id.
 type instanceCreateRequest struct {
 	ID        string         `json:"id,omitempty"`
-	Points    []wirePoint    `json:"points,omitempty"`
+	Points    []geom.Point   `json:"points,omitempty"`
 	Gen       *wireGen       `json:"gen,omitempty"`
 	K         int            `json:"k"`
 	Phi       float64        `json:"phi"`
@@ -134,6 +134,8 @@ func markRevision(w http.ResponseWriter, rev uint64, repair, class string) {
 }
 
 func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
 	var body instanceCreateRequest
 	if !decodeJSON(w, r, &body) {
 		return
@@ -154,8 +156,9 @@ func (s *Server) handleInstanceCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
+	if s.expired(w, ctx) {
+		return
+	}
 	snap, err := s.instances.Create(ctx, body.ID, pts, b)
 	if err != nil {
 		s.instanceError(w, err)
@@ -200,7 +203,9 @@ func (s *Server) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(delta)
 		return
 	}
+	_, endEncode := obs.StartSpan(r.Context(), "encode")
 	data, err := snap.Sol.EncodeJSON()
+	endEncode()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
@@ -211,6 +216,8 @@ func (s *Server) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
 	var body instancePatchRequest
 	if !decodeJSON(w, r, &body) {
 		return
@@ -224,8 +231,9 @@ func (s *Server) handleInstancePatch(w http.ResponseWriter, r *http.Request) {
 		}
 		ifMatch = v
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
+	if s.expired(w, ctx) {
+		return
+	}
 	snap, err := s.instances.Apply(ctx, r.PathValue("id"), ifMatch, body.Ops)
 	if err != nil {
 		s.instanceError(w, err)

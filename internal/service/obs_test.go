@@ -126,8 +126,9 @@ func TestOrientTracingHeaders(t *testing.T) {
 		t.Fatalf("minted X-Trace-Id %q is not 16 hex digits", id)
 	}
 	ph := assertPhasesSumToTotal(t, resp.Header.Get("Server-Timing"))
-	// A miss runs the solve pipeline; its phases must be visible.
-	for _, phase := range []string{"plan", "emst", "orient"} {
+	// A miss runs the solve pipeline; its phases must be visible, and so
+	// must reading the request and writing the artifact.
+	for _, phase := range []string{"decode", "plan", "emst", "orient", "encode"} {
 		if _, ok := ph[phase]; !ok {
 			t.Errorf("miss Server-Timing lacks %q phase: %v", phase, ph)
 		}
@@ -152,8 +153,10 @@ func TestOrientTracingHeaders(t *testing.T) {
 		t.Fatalf("second request not a hit: %q", resp2.Header.Get("X-Cache"))
 	}
 	hp := assertPhasesSumToTotal(t, resp2.Header.Get("Server-Timing"))
-	if _, ok := hp["cache"]; !ok {
-		t.Errorf("hit Server-Timing lacks cache phase: %v", hp)
+	for _, phase := range []string{"decode", "cache", "encode"} {
+		if _, ok := hp[phase]; !ok {
+			t.Errorf("hit Server-Timing lacks %q phase: %v", phase, hp)
+		}
 	}
 	if _, ok := hp["emst"]; ok {
 		t.Errorf("memory hit Server-Timing has an emst phase: %v", hp)
